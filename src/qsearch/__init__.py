@@ -7,7 +7,6 @@ exact simulation and independent brute-force bounds, and emits runnable
 3-qubit circuits for the half-half benchmark family.
 """
 
-from ._kernels import kernel_backend
 from .bounds import BoundReport, f_clamped, lemma_a1_search, theorem_a2_bound
 from .circuits import (
     REFERENCE_THETA,
@@ -37,6 +36,7 @@ from .esp import (
 from .optimizer import (
     OptimizerConfig,
     cap,
+    kernel_backend,
     kkt_residual,
     load_plan,
     optimize,

@@ -9,16 +9,14 @@ circuit).
 
 Exit codes: 0 success, 2 input error, 3 solver failure, 4 property or
 tolerance failure.  Identical command lines produce byte-identical output
-files; QSEARCH_THREADS > 1 only parallelizes the work, never reorders it.
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,25 +40,6 @@ _METHOD_ORDER = ("classical", "grover-uniform", "ranking", "optimal")
 #: Slack used when enforcing the method ordering inline (matches the
 #: optimizer's own dominance tolerance).
 _ORDER_TOL = 1e-9
-
-
-def _workers() -> int:
-    raw = os.environ.get("QSEARCH_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"QSEARCH_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def _pool_map(fn, items):
-    """Order-preserving map, optionally on a thread pool."""
-    items = list(items)
-    workers = _workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- optimize
@@ -109,12 +88,10 @@ def cmd_compare(args) -> int:
         raise InvalidInput(f"--prior has {injected.n} items but --n is {args.n}")
 
     t_values = list(range(args.t_min, args.t_max + 1))
-
-    def task(sample_index: int):
-        p = injected or sample_random_prior(args.n, args.seed ^ sample_index)
-        return _sample_methods(p, t_values)
-
-    per_sample = _pool_map(task, range(args.samples))
+    per_sample = [
+        _sample_methods(injected or sample_random_prior(args.n, args.seed ^ s), t_values)
+        for s in range(args.samples)
+    ]
 
     for s, rows in enumerate(per_sample):
         for t, (classical, uniform, ranking, optimal) in zip(t_values, rows):
@@ -384,3 +361,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

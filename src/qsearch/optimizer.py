@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import kernel_backend, waterfill
 from .errors import InvalidInput, NumericalFailure
 from .esp import AmplitudePlan, esp
 from .prior import Prior
@@ -41,6 +40,10 @@ __all__ = [
 # bound-active when checking the KKT conditions.
 _FACE_TOL = 1e-11
 
+# Inner bisection depth.  cap / 2**54 is below one ulp of any q in (0, 1/4],
+# so each coordinate is resolved to full double precision.
+_INNER_ITERS = 54
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -57,10 +60,22 @@ class OptimizerConfig:
             raise InvalidInput("max_iter must be >= 1")
 
 
-def cap(t: int) -> float:
-    """Saturation amplitude sin^2(pi / (2(2t+1))) for a t-query search."""
+def _check_t(t) -> None:
+    """Reject a query budget that is not an integer >= 0 (bools included)."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise InvalidInput(f"t must be an integer, got {t!r}")
     if t < 0:
         raise InvalidInput("t must be >= 0")
+
+
+def kernel_backend() -> str:
+    """Name of the water-fill implementation; there is only the NumPy one."""
+    return "python"
+
+
+def cap(t: int) -> float:
+    """Saturation amplitude sin^2(pi / (2(2t+1))) for a t-query search."""
+    _check_t(t)
     return math.sin(math.pi / (2.0 * (2 * t + 1))) ** 2
 
 
@@ -81,6 +96,73 @@ def _marginals(w: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
     return w * out
 
 
+def _coords_for_lambda(p, lam, k, cap):
+    """Per-item inner solve: q_i with p_i * g'(q_i) = lam, clipped to [0, cap].
+
+    g'(q) = k * sin(2k * arcsin(sqrt(q))) / (2 * sqrt(q(1-q))) is strictly
+    decreasing on (0, cap) from g'(0+) = k^2 down to g'(cap-) = 0, so a plain
+    bisection per coordinate is monotone and exact to the iteration depth.
+    """
+    q = np.zeros_like(p)
+    active = p * (k * k) > lam
+    if not np.any(active):
+        return q
+    pa = p[active]
+    lo = np.zeros(pa.size)
+    hi = np.full(pa.size, cap)
+    for _ in range(_INNER_ITERS):
+        mid = 0.5 * (lo + hi)
+        marg = pa * k * np.sin(2.0 * k * np.arcsin(np.sqrt(mid))) / (
+            2.0 * np.sqrt(mid * (1.0 - mid))
+        )
+        take = marg > lam
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    q[active] = 0.5 * (lo + hi)
+    return q
+
+
+def waterfill(p, k, cap, tol, max_iter):
+    """Budget-binding water-fill over strictly positive weights.
+
+    Arguments:
+        p: 1-D float64 array of strictly positive weights (need not sum to 1).
+        k: 2t + 1 for query budget t >= 1.
+        cap: per-coordinate upper bound sin^2(pi / (2k)).
+        tol: relative tolerance on the multiplier bracket; a midpoint with
+            1 - tol <= sum(q) <= 1 is accepted early.
+        max_iter: outer bisection iteration cap.
+
+    Returns (q, lam, iterations, converged).  Caller guarantees
+    len(p) * cap > 1, i.e. the budget constraint is active, so the multiplier
+    lam lies in (0, k^2 * max(p)).  sum(q(lam)) is non-increasing in lam; the
+    returned bracket endpoint is the one with sum(q) <= 1 so the result is
+    always feasible.
+    """
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    lam_hi = float(p.max()) * k * k
+    lam_lo = 0.0
+    scale = lam_hi
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if lam_hi - lam_lo <= tol * scale:
+            converged = True
+            break
+        lam = 0.5 * (lam_lo + lam_hi)
+        q = _coords_for_lambda(p, lam, k, cap)
+        total = float(q.sum())
+        # Accept only from the feasible side so sum(q) <= 1 always holds.
+        if 1.0 - tol <= total <= 1.0:
+            return q, lam, iterations, True
+        if total > 1.0:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+    q = _coords_for_lambda(p, lam_hi, k, cap)
+    return q, lam_hi, iterations, converged
+
+
 def optimize(p: Prior, t: int, cfg: OptimizerConfig | None = None) -> AmplitudePlan:
     """Amplitude plan maximizing the expected success probability.
 
@@ -94,10 +176,9 @@ def optimize(p: Prior, t: int, cfg: OptimizerConfig | None = None) -> AmplitudeP
     Raises NumericalFailure if the bisection does not reach ``cfg.tol``
     within ``cfg.max_iter`` outer iterations.
     """
+    _check_t(t)
     if cfg is None:
         cfg = OptimizerConfig()
-    if t < 0:
-        raise InvalidInput("t must be >= 0")
     w = p.weights
     n = p.n
 
@@ -264,8 +345,9 @@ def load_plan(path) -> AmplitudePlan:
             raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
     try:
         q = np.asarray(data["q"], dtype=np.float64)
-        t = int(data["t"])
+        t = data["t"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: not a plan file ({exc})") from exc
+    _check_t(t)
     meta = {k: data[k] for k in ("esp", "kkt_residual") if k in data}
     return AmplitudePlan(q=q, t=t, meta=meta)

@@ -61,9 +61,15 @@ def new_prior(raw_weights) -> Prior:
         raise InvalidInput("weights must be finite")
     if np.any(w < 0.0):
         raise InvalidInput("weights must be non-negative")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
     if total <= 0.0:
         raise InvalidInput("weights must not all be zero")
+    if not np.isfinite(total):
+        # Finite weights near the float maximum overflow their sum; scale
+        # them down first.  Sums that fit keep the plain w / sum(w) rounding.
+        w = w / w.max()
+        total = float(w.sum())
     return Prior(weights=w / total)
 
 

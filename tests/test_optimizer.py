@@ -24,6 +24,8 @@ from qsearch import (
     save_plan,
     top_k_mass,
 )
+from qsearch import optimizer
+from qsearch.optimizer import kernel_backend, waterfill
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 
@@ -47,6 +49,42 @@ def test_cap_values():
     assert cap(2) == pytest.approx(0.0954915028, abs=1e-10)
     with pytest.raises(InvalidInput):
         cap(-1)
+
+
+BAD_T = [True, False, 1.5, 2.0, "1", None, np.float64(1.0)]
+
+
+@pytest.mark.parametrize("t", BAD_T)
+def test_cap_rejects_non_integer_t(t):
+    with pytest.raises(InvalidInput):
+        cap(t)
+
+
+@pytest.mark.parametrize("t", BAD_T + [-1])
+def test_optimize_rejects_bad_t_before_solving(t, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("water-fill ran on an invalid t")
+
+    monkeypatch.setattr(optimizer, "waterfill", must_not_run)
+    with pytest.raises(InvalidInput):
+        optimize(sample_random_prior(64, 1), t)
+
+
+@pytest.mark.parametrize("t", [True, 1.5, 2.0, "1", None, -1])
+def test_load_plan_rejects_bad_t(tmp_path, t):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"t": t, "q": [0.25, 0.25]}))
+    with pytest.raises(InvalidInput):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("t", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_numpy_integer_t_is_accepted(t):
+    p = sample_random_prior(64, 1)
+    assert cap(t) == cap(4)
+    plan = optimize(p, t)
+    assert plan.t == 4
+    assert plan.q.tolist() == optimize(p, 4).q.tolist()
 
 
 def test_config_validation():
@@ -229,3 +267,50 @@ def test_load_plan_rejects_garbage(tmp_path):
     path.write_text("{}")
     with pytest.raises(InvalidInput):
         load_plan(path)
+
+
+def test_kernel_backend_is_python():
+    assert kernel_backend() == "python"
+
+
+def binding_case(seed, t):
+    """Random weights on a register large enough that the budget binds."""
+    k = 2 * t + 1
+    c = math.sin(math.pi / (2.0 * k)) ** 2
+    n = int(1.0 / c) + 3 + seed % 10
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w = rng.random(n) + 1e-3
+    w /= w.sum()
+    return w, float(k), c
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_waterfill_solution_is_feasible_and_stationary(t):
+    w, k, c = binding_case(11 + t, t)
+    q, lam, _, converged = waterfill(w, k, c, 1e-12, 200)
+    assert converged
+    assert 1.0 - 1e-9 <= float(np.sum(q)) <= 1.0
+    assert float(np.min(q)) >= 0.0
+    assert float(np.max(q)) <= c
+    # interior coordinates all sit on the common multiplier
+    interior = (q > 1e-9) & (q < c - 1e-9)
+    marg = w[interior] * k * np.sin(2.0 * k * np.arcsin(np.sqrt(q[interior]))) / (
+        2.0 * np.sqrt(q[interior] * (1.0 - q[interior]))
+    )
+    assert float(np.abs(marg - lam).max()) <= 1e-6 * lam
+
+
+def test_waterfill_iteration_cap_reports_nonconvergence():
+    w, k, c = binding_case(99, 1)
+    q, lam, iterations, converged = waterfill(w, k, c, 1e-12, 1)
+    assert not converged
+    assert iterations == 1
+    assert float(np.sum(q)) <= 1.0
+
+
+def test_waterfill_zero_tolerance_never_accepted():
+    # a too-tight tolerance must surface as converged=False, not a bad plan
+    w, k, c = binding_case(7, 1)
+    q, _, _, converged = waterfill(w, k, c, 1e-300, 5)
+    assert not converged
+    assert float(np.sum(q)) <= 1.0

@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsearch import (
@@ -37,6 +38,33 @@ def test_single_support_normalization():
 def test_new_prior_rejects_bad_input(bad):
     with pytest.raises(InvalidInput):
         new_prior(bad)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1e308, 1e308],
+        [1.7e308, 1.7e308, 1.7e308, 1e-300],
+        np.geomspace(1e308, 1e-300),
+        np.geomspace(1e308, 1e-300, 4000),
+    ],
+)
+def test_new_prior_accepts_huge_finite_weights(raw):
+    raw = np.asarray(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = new_prior(raw)
+    assert abs(float(p.weights.sum()) - 1.0) <= 1e-12
+    assert np.all(np.diff(p.weights) <= 0.0)  # input order and ranking kept
+    assert float(p.weights[0]) == pytest.approx(1.0 / float(np.sum(raw / raw.max())), rel=1e-12)
+
+
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_new_prior_divides_by_the_plain_sum(raw):
+    w = np.asarray(raw, dtype=np.float64)
+    assume(w.sum() > 0.0)
+    assert new_prior(w).weights.tobytes() == (w / w.sum()).tobytes()
 
 
 def test_new_prior_rejects_non_numeric():
