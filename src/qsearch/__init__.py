@@ -26,7 +26,7 @@ from .esp import (
     METHODS,
     AmplitudePlan,
     EspReport,
-    classical_report,
+    cap,
     esp,
     ranking_baseline,
     speedup_plan,
@@ -34,8 +34,6 @@ from .esp import (
     uniform_plan,
 )
 from .optimizer import (
-    OptimizerConfig,
-    cap,
     kernel_backend,
     kkt_residual,
     load_plan,
@@ -76,7 +74,6 @@ __all__ = [
     "MAX_QUBITS",
     "METHODS",
     "NumericalFailure",
-    "OptimizerConfig",
     "Prior",
     "REFERENCE_THETA",
     "ResourceLimit",
@@ -84,7 +81,6 @@ __all__ = [
     "block_amplitude",
     "build_halfhalf_circuit",
     "cap",
-    "classical_report",
     "emit_qasm",
     "esp",
     "f_clamped",

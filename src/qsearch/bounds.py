@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput, ResourceLimit
-from .esp import esp
+from .errors import InvalidInput, ResourceLimit, check_int
+from .esp import cap, esp, slope
 from .prior import Prior
 
 __all__ = ["BoundReport", "f_clamped", "theorem_a2_bound", "lemma_a1_search"]
@@ -75,11 +75,16 @@ def f_clamped(x: float) -> float:
     return math.sin(x) if x <= _HALF_PI else 1.0
 
 
+def _clamped(angles: np.ndarray) -> np.ndarray:
+    """f(angle)^2 elementwise: sin(angle)^2 below pi/2, exactly 1 from there on."""
+    vals = np.sin(np.minimum(angles, _HALF_PI)) ** 2
+    return np.where(angles >= _HALF_PI, 1.0, vals)
+
+
 def _objective(w: np.ndarray, r: np.ndarray, k: int) -> float:
     """sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 with the clamp applied."""
     angles = k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0)))
-    vals = np.sin(np.minimum(angles, _HALF_PI)) ** 2
-    return float(w @ np.where(angles >= _HALF_PI, 1.0, vals))
+    return float(w @ _clamped(angles))
 
 
 def _gradient(w: np.ndarray, r: np.ndarray, k: int, saturation: float) -> np.ndarray:
@@ -88,10 +93,7 @@ def _gradient(w: np.ndarray, r: np.ndarray, k: int, saturation: float) -> np.nda
     rr = np.clip(r[live], 0.0, 1.0)
     g = np.full(rr.shape, float(k * k))
     pos = rr > 0.0
-    rp = rr[pos]
-    g[pos] = k * np.sin(2.0 * k * np.arcsin(np.sqrt(rp))) / (
-        2.0 * np.sqrt(rp * (1.0 - rp))
-    )
+    g[pos] = slope(rr[pos], k)
     grad[live] = w[live] * g
     return grad
 
@@ -149,14 +151,13 @@ def theorem_a2_bound(
     omitted it is taken from the water-filling optimizer, which this bound
     exists to cross-check (the maximization itself never touches it).
     """
-    if t < 0:
-        raise InvalidInput("t must be >= 0")
+    check_int(t, "t")
     if p.n > 8 or t > 3:
         raise ResourceLimit(f"ascent bound capped at n <= 8, t <= 3; got n={p.n}, t={t}")
     w = p.weights
     n = p.n
     k = 2 * t + 1
-    saturation = math.sin(_HALF_PI / k) ** 2
+    saturation = cap(t)
 
     seeds = [np.full(n, 1.0 / n)]
     for i in range(n):
@@ -205,8 +206,7 @@ def _simplex_grid(n: int, steps: int) -> np.ndarray:
 def _alloc_objective(w: np.ndarray, alloc: np.ndarray) -> float:
     """alloc has shape (m, n): one simplex allocation per query step."""
     angles = np.arcsin(np.sqrt(np.clip(alloc, 0.0, 1.0))).sum(axis=0)
-    vals = np.sin(np.minimum(angles, _HALF_PI)) ** 2
-    return float(w @ np.where(angles >= _HALF_PI, 1.0, vals))
+    return float(w @ _clamped(angles))
 
 
 def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool):
@@ -261,8 +261,7 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     ascent.  The refined equal solution also seeds the unrestricted
     refinement, so the reported gap (residual field) is never negative.
     """
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+    check_int(m, "m", 1)
     if not 0.0 < grid_step <= 1.0:
         raise InvalidInput(f"grid_step must lie in (0, 1], got {grid_step!r}")
     if p.n > 3 or m > 3:
@@ -276,37 +275,32 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     arcs = np.arcsin(np.sqrt(grid))  # (g, n)
     g = grid.shape[0]
 
-    def values_for(angle_sum: np.ndarray) -> np.ndarray:
-        clipped = np.minimum(angle_sum, _HALF_PI)
-        vals = np.sin(clipped) ** 2
-        return np.where(angle_sum >= _HALF_PI, 1.0, vals) @ w
-
     # unrestricted enumeration over the m-fold product, chunked on the first
     # step so the broadcast temporaries stay small
     best_value = -1.0
     best_index = None
     if m == 1:
-        totals = values_for(arcs)
+        totals = _clamped(arcs) @ w
         best_flat = int(np.argmax(totals))
         best_value = float(totals[best_flat])
         best_index = (best_flat,)
     elif m == 2:
         sums = arcs[:, None, :] + arcs[None, :, :]
-        totals = values_for(sums)
+        totals = _clamped(sums) @ w
         flat = int(np.argmax(totals))
         best_value = float(totals.flat[flat])
         best_index = (flat // g, flat % g)
     else:
         for a in range(g):
             sums = arcs[a][None, None, :] + arcs[:, None, :] + arcs[None, :, :]
-            totals = values_for(sums)
+            totals = _clamped(sums) @ w
             flat = int(np.argmax(totals))
             if float(totals.flat[flat]) > best_value:
                 best_value = float(totals.flat[flat])
                 best_index = (a, flat // g, flat % g)
 
     # equal-allocation restriction: the diagonal of the same product
-    equal_totals = values_for(m * arcs)
+    equal_totals = _clamped(m * arcs) @ w
     equal_best = int(np.argmax(equal_totals))
 
     equal_alloc = np.tile(grid[equal_best], (m, 1))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, ResourceLimit
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 from .prior import Prior, new_prior
 from .simulator import MAX_QUBITS, Gate, GateCircuit
 
@@ -93,7 +93,7 @@ def theta_for_sigma(sigma: float) -> float:
     violation means the solver output is not realizable by one rotation.
     """
     p = halfhalf_prior(sigma)
-    q = optimize(p, 1, OptimizerConfig()).q
+    q = optimize(p, 1).q
     q_hi = q[:4]
     q_lo = q[4:]
     spread_hi = float(np.ptp(q_hi))

@@ -24,6 +24,7 @@ from . import circuits as qc
 from .bounds import lemma_a1_search, theorem_a2_bound
 from .errors import InvalidInput, NumericalFailure, ResourceLimit
 from .esp import (
+    METHODS,
     AmplitudePlan,
     esp,
     ranking_baseline,
@@ -34,8 +35,6 @@ from .esp import (
 from .optimizer import kkt_residual, optimize, optimize_t1_closed_form, save_plan
 from .prior import Prior, l1_distance, load_prior, new_prior, sample_random_prior, top_k_mass
 from .simulator import run_iterations
-
-_METHOD_ORDER = ("classical", "grover-uniform", "ranking", "optimal")
 
 #: Slack used when enforcing the method ordering inline (matches the
 #: optimizer's own dominance tolerance).
@@ -54,8 +53,8 @@ def cmd_optimize(args) -> int:
     else:
         plan = optimize(p, args.t)
     save_plan(p, plan, args.out)
-    print(f"esp {esp(p, plan)!r}")
-    print(f"kkt_residual {kkt_residual(p, plan)!r}")
+    print(f"esp {plan.meta['esp']!r}")
+    print(f"kkt_residual {plan.meta['kkt_residual']!r}")
     return 0
 
 
@@ -112,7 +111,7 @@ def cmd_compare(args) -> int:
     lines = ["t,method,mean_esp,std_esp,samples,seed"]
     values = np.asarray(per_sample)  # (samples, t, method)
     for ti, t in enumerate(t_values):
-        for mi, method in enumerate(_METHOD_ORDER):
+        for mi, method in enumerate(METHODS):
             col = values[:, ti, mi]
             lines.append(
                 f"{t},{method},{float(col.mean())!r},{float(col.std())!r},"
@@ -345,18 +344,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimit as exc:
+    except (InvalidInput, ResourceLimit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

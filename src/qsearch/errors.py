@@ -2,8 +2,11 @@
 
 Three failure kinds cover the whole surface: bad caller input, a numerical
 procedure that did not meet its tolerance contract, and requests beyond the
-desk-scale caps this package is designed for.
+desk-scale caps this package is designed for.  :func:`check_int` is the one
+validation rule for integer arguments (query budgets and counts).
 """
+
+import numbers
 
 
 class InvalidInput(ValueError):
@@ -16,3 +19,17 @@ class NumericalFailure(RuntimeError):
 
 class ResourceLimit(RuntimeError):
     """Problem size exceeds a documented desk-scale cap."""
+
+
+def check_int(value, name: str, minimum: int = 0, maximum: int | None = None) -> None:
+    """Reject anything but an integer in [minimum, maximum] as InvalidInput.
+
+    Python and NumPy integers pass; bools, floats (even 2.0), strings and
+    None do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise InvalidInput(f"{name} must be in [{minimum}, {maximum}], got {value}")
+    if value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}")

@@ -4,11 +4,14 @@ Running t oracle queries against an initial state whose squared amplitude on
 item i is q_i finds the solution x with probability sin^2((2t+1) arcsin sqrt(q_x)).
 Averaging over a prior p gives the objective everything here evaluates:
 
-    ESP_t(p, q) = sum_i p_i sin^2((2t+1) arcsin sqrt(q_i))
+    ESP_t(p, q) = sum_i p_i g(q_i),   g(q) = sin^2((2t+1) arcsin sqrt(q))
 
-Besides the objective itself this module holds the two non-optimal baselines
-(best-M ranking search and the quadratic-speedup construction) that the
-optimal plan is measured against.
+g rises from 0 to 1 on [0, cap(t)], cap(t) = sin^2(pi/(2(2t+1))), with
+slope g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))), k = 2t+1.  The
+curve, its slope and its cap are defined here once; the optimizer and the
+bounds use them from here.  Besides the objective itself this module holds
+the two non-optimal baselines (best-M ranking search and the
+quadratic-speedup construction) that the optimal plan is measured against.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import InvalidInput
-from .prior import Prior, top_k_mass
+from .errors import InvalidInput, check_int
+from .prior import Prior
 
 #: Feasibility slack on sum(q); everything downstream treats plans as exact.
 PLAN_SUM_TOL = 1e-12
 
 #: Allowed EspReport method labels.
-METHODS = ("classical", "grover-uniform", "ranking", "optimal", "custom")
+METHODS = ("classical", "grover-uniform", "ranking", "optimal")
 
 #: Smaller-M wins on ranking ties; float noise within this counts as a tie.
 _RANKING_TIE_TOL = 1e-12
@@ -55,8 +58,7 @@ class AmplitudePlan:
             raise InvalidInput("plan amplitudes must lie in [0, 1]")
         if float(q.sum()) > 1.0 + PLAN_SUM_TOL:
             raise InvalidInput(f"plan amplitudes sum to {q.sum()!r} > 1")
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
-            raise InvalidInput("query budget t must be an integer >= 0")
+        check_int(self.t, "t")
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -93,12 +95,33 @@ class EspReport:
         }
 
 
+def cap(t: int) -> float:
+    """Saturation amplitude sin^2(pi / (2(2t+1))) for a t-query search."""
+    check_int(t, "t")
+    return math.sin(math.pi / (2.0 * (2 * t + 1))) ** 2
+
+
+def slope(q, k, w=None):
+    """g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))) for 0 < q < 1, k = 2t+1.
+
+    With weights ``w`` this is w * g'(q), with w multiplied in before the
+    division; callers that scale afterwards pass no ``w``.  The two orders
+    round differently, and each caller keeps the one its results were
+    computed with.
+    """
+    c = k if w is None else w * k
+    return c * np.sin(2.0 * k * np.arcsin(np.sqrt(q))) / (2.0 * np.sqrt(q * (1.0 - q)))
+
+
 def success_prob_single(q_i: float, t: int) -> float:
-    """Probability of measuring one item after t queries, sin^2((2t+1) asin sqrt(q_i))."""
+    """Probability of measuring one item after t queries, sin^2((2t+1) asin sqrt(q_i)).
+
+    Evaluated with scalar ``math``: NumPy's sin rounds differently for some
+    arguments, and ``qsearch emit`` prints this value.
+    """
     if not 0.0 <= q_i <= 1.0:
         raise InvalidInput(f"q_i must lie in [0, 1], got {q_i!r}")
-    if t < 0:
-        raise InvalidInput("t must be >= 0")
+    check_int(t, "t")
     return math.sin((2 * t + 1) * math.asin(math.sqrt(q_i))) ** 2
 
 
@@ -115,8 +138,7 @@ def esp(p: Prior, plan: AmplitudePlan) -> float:
 
 def uniform_plan(n: int, t: int) -> AmplitudePlan:
     """The no-prior plan q_i = 1/n (plain Grover over all n items)."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    check_int(n, "n", 1)
     return AmplitudePlan(q=np.full(n, 1.0 / n), t=t)
 
 
@@ -129,10 +151,11 @@ def ranking_baseline(p: Prior, t: int) -> EspReport:
     this baseline loses.  Returns the best value and its M; ties (including
     ties up to float noise) go to the smallest M.
     """
-    if t < 0:
-        raise InvalidInput("t must be >= 0")
+    check_int(t, "t")
     mass = np.cumsum(np.sort(p.weights)[::-1])
     m_all = np.arange(1, p.n + 1, dtype=np.float64)
+    # arcsin(1/sqrt(M)), not the curve on q = 1/M: the compare CSV's
+    # ranking column is pinned to these bits.
     angle = (2 * t + 1) * np.arcsin(1.0 / np.sqrt(m_all))
     values = mass * np.sin(angle) ** 2
     best = float(values.max())
@@ -151,30 +174,16 @@ def speedup_plan(p: Prior, t_classical: int) -> AmplitudePlan:
     """Plan matching the best t_classical-query classical success in about sqrt as many queries.
 
     Uses t = ceil(sqrt(t_classical)) queries and puts the saturating amplitude
-    sin^2(pi / (2(2t+1))) on each of the t_classical most likely items, so each
+    cap(t) on each of the t_classical most likely items, so each
     covered item is found with probability 1 and the ESP equals the classical
     top-t_classical mass.  Total amplitude spent is t_classical * cap <= pi^2/16.
     """
-    if t_classical < 1 or t_classical > p.n:
-        raise InvalidInput(f"t_classical must be in [1, {p.n}], got {t_classical}")
+    check_int(t_classical, "t_classical", 1, p.n)
     t = math.isqrt(t_classical - 1) + 1
-    saturating = math.sin(math.pi / (2 * (2 * t + 1))) ** 2
     # stable argsort on -w: ties resolve to the lowest index
     top = np.argsort(-p.weights, kind="stable")[:t_classical]
     q = np.zeros(p.n)
-    q[top] = saturating
+    q[top] = cap(t)
     plan = AmplitudePlan(q=q, t=t)
     return plan
 
-
-def classical_report(p: Prior, t: int) -> EspReport:
-    """Best classical strategy: probe the t most likely locations."""
-    if t < 0:
-        raise InvalidInput("t must be >= 0")
-    return EspReport(
-        method="classical",
-        value=top_k_mass(p, min(t, p.n)),
-        t=t,
-        n=p.n,
-        extras={},
-    )

@@ -2,30 +2,28 @@
 
 For a fixed budget t the objective sum_i p_i g(q_i) with
 g(q) = sin^2((2t+1) arcsin sqrt(q)) is separable and strictly concave on the
-box 0 <= q_i <= cap(t), where cap(t) = sin^2(pi/(2(2t+1))) is the point at
-which one item's success probability saturates at 1.  The optimum therefore
-has water-filling structure: every coordinate strictly inside the box
-equalizes its marginal gain p_i g'(q_i) at a common multiplier, coordinates
-at 0 have marginal below it, coordinates at the cap above it.  Two nested
-monotone bisections (outer on the multiplier, inner per coordinate) solve
-this to tolerance; both directions are certified monotone, so the solve is
-deterministic and needs no line search or step-size tuning.
+box 0 <= q_i <= cap(t), the point at which one item's success probability
+saturates at 1 (g, its slope g' and cap are defined in :mod:`qsearch.esp`).
+The optimum therefore has water-filling structure: every coordinate strictly
+inside the box equalizes its marginal gain p_i g'(q_i) at a common
+multiplier, coordinates at 0 have marginal below it, coordinates at the cap
+above it.  Two nested monotone bisections (outer on the multiplier, inner
+per coordinate) solve this to tolerance; both directions are certified
+monotone, so the solve is deterministic and needs no line search or
+step-size tuning.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
-from .esp import AmplitudePlan, esp
+from .errors import InvalidInput, NumericalFailure, check_int
+from .esp import AmplitudePlan, cap, esp, slope
 from .prior import Prior
 
 __all__ = [
-    "OptimizerConfig",
     "cap",
     "optimize",
     "optimize_t1_closed_form",
@@ -44,39 +42,15 @@ _FACE_TOL = 1e-11
 # so each coordinate is resolved to full double precision.
 _INNER_ITERS = 54
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Solver tolerances: ``tol`` on the multiplier bracket and on |sum(q)-1|,
-    ``max_iter`` on the outer bisection."""
-
-    tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InvalidInput("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be >= 1")
-
-
-def _check_t(t) -> None:
-    """Reject a query budget that is not an integer >= 0 (bools included)."""
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise InvalidInput(f"t must be an integer, got {t!r}")
-    if t < 0:
-        raise InvalidInput("t must be >= 0")
+# Outer bisections (water-fill and closed form): relative tolerance on the
+# multiplier bracket and on |sum(q) - 1|, and the iteration cap.
+_TOL = 1e-12
+_MAX_ITER = 200
 
 
 def kernel_backend() -> str:
     """Name of the water-fill implementation; there is only the NumPy one."""
     return "python"
-
-
-def cap(t: int) -> float:
-    """Saturation amplitude sin^2(pi / (2(2t+1))) for a t-query search."""
-    _check_t(t)
-    return math.sin(math.pi / (2.0 * (2 * t + 1))) ** 2
 
 
 def _marginals(w: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
@@ -89,19 +63,16 @@ def _marginals(w: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
     qc = np.clip(q, 0.0, cap(t))
     out = np.full(qc.shape, float(k * k))
     inside = (qc > 0.0) & (qc < 1.0)
-    qi = qc[inside]
-    out[inside] = k * np.sin(2.0 * k * np.arcsin(np.sqrt(qi))) / (
-        2.0 * np.sqrt(qi * (1.0 - qi))
-    )
+    out[inside] = slope(qc[inside], k)
     return w * out
 
 
 def _coords_for_lambda(p, lam, k, cap):
     """Per-item inner solve: q_i with p_i * g'(q_i) = lam, clipped to [0, cap].
 
-    g'(q) = k * sin(2k * arcsin(sqrt(q))) / (2 * sqrt(q(1-q))) is strictly
-    decreasing on (0, cap) from g'(0+) = k^2 down to g'(cap-) = 0, so a plain
-    bisection per coordinate is monotone and exact to the iteration depth.
+    g' (:func:`qsearch.esp.slope`) is strictly decreasing on (0, cap) from
+    g'(0+) = k^2 down to g'(cap-) = 0, so a plain bisection per coordinate is
+    monotone and exact to the iteration depth.
     """
     q = np.zeros_like(p)
     active = p * (k * k) > lam
@@ -112,10 +83,7 @@ def _coords_for_lambda(p, lam, k, cap):
     hi = np.full(pa.size, cap)
     for _ in range(_INNER_ITERS):
         mid = 0.5 * (lo + hi)
-        marg = pa * k * np.sin(2.0 * k * np.arcsin(np.sqrt(mid))) / (
-            2.0 * np.sqrt(mid * (1.0 - mid))
-        )
-        take = marg > lam
+        take = slope(mid, k, pa) > lam
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
     q[active] = 0.5 * (lo + hi)
@@ -163,7 +131,7 @@ def waterfill(p, k, cap, tol, max_iter):
     return q, lam_hi, iterations, converged
 
 
-def optimize(p: Prior, t: int, cfg: OptimizerConfig | None = None) -> AmplitudePlan:
+def optimize(p: Prior, t: int) -> AmplitudePlan:
     """Amplitude plan maximizing the expected success probability.
 
     Zero-weight items are pinned to q = 0 up front (amplitude there is
@@ -173,12 +141,10 @@ def optimize(p: Prior, t: int, cfg: OptimizerConfig | None = None) -> AmplitudeP
     t = 0 degenerates to a single classical guess: all amplitude on the
     (first) most likely item.
 
-    Raises NumericalFailure if the bisection does not reach ``cfg.tol``
-    within ``cfg.max_iter`` outer iterations.
+    Raises NumericalFailure, with the iteration count, the multiplier and the
+    last |sum(q) - 1|, if the bisection does not reach its tolerance.
     """
-    _check_t(t)
-    if cfg is None:
-        cfg = OptimizerConfig()
+    check_int(t, "t")
     w = p.weights
     n = p.n
 
@@ -199,13 +165,13 @@ def optimize(p: Prior, t: int, cfg: OptimizerConfig | None = None) -> AmplitudeP
         return _with_meta(p, plan)
 
     q_pos, lam, iterations, converged = waterfill(
-        w[support], float(2 * t + 1), c, cfg.tol, cfg.max_iter
+        w[support], float(2 * t + 1), c, _TOL, _MAX_ITER
     )
     if not converged:
         gap = abs(float(np.sum(q_pos)) - 1.0)
         raise NumericalFailure(
-            f"water-fill stopped after {iterations} iterations with "
-            f"|sum(q)-1| = {gap:.3e} (tol {cfg.tol:g}); raise max_iter"
+            f"water-fill stopped after {iterations} iterations at lam = {lam!r} "
+            f"with |sum(q)-1| = {gap:.3e} (tol {_TOL:g})"
         )
     q = np.zeros(n)
     q[support] = q_pos
@@ -213,7 +179,7 @@ def optimize(p: Prior, t: int, cfg: OptimizerConfig | None = None) -> AmplitudeP
     return _with_meta(p, plan)
 
 
-def optimize_t1_closed_form(p: Prior, cfg: OptimizerConfig | None = None) -> AmplitudePlan:
+def optimize_t1_closed_form(p: Prior) -> AmplitudePlan:
     """Single-query optimum through the explicit multiplier formula.
 
     At t = 1 the stationarity condition p_i (48 q_i^2 - 48 q_i + 9) = -lam
@@ -223,8 +189,6 @@ def optimize_t1_closed_form(p: Prior, cfg: OptimizerConfig | None = None) -> Amp
     reaches 1 outright.  Agrees with :func:`optimize` at t = 1 to solver
     tolerance; kept as an independent route for cross-checking.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     w = p.weights
     n = p.n
     support = w > 0.0
@@ -249,14 +213,14 @@ def optimize_t1_closed_form(p: Prior, cfg: OptimizerConfig | None = None) -> Amp
     scale = -lam_lo
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        if lam_hi - lam_lo <= cfg.tol * scale:
+    for iterations in range(1, _MAX_ITER + 1):
+        if lam_hi - lam_lo <= _TOL * scale:
             converged = True
             break
         lam = 0.5 * (lam_lo + lam_hi)
         total = float(coords(lam).sum())
         # Accept only from the feasible side so sum(q) <= 1 always holds.
-        if 1.0 - cfg.tol <= total <= 1.0:
+        if 1.0 - _TOL <= total <= 1.0:
             lam_lo = lam
             converged = True
             break
@@ -266,8 +230,9 @@ def optimize_t1_closed_form(p: Prior, cfg: OptimizerConfig | None = None) -> Amp
             lam_lo = lam
     if not converged:
         raise NumericalFailure(
-            f"multiplier bisection stopped after {iterations} iterations "
-            f"without reaching tol {cfg.tol:g}; raise max_iter"
+            f"multiplier bisection stopped after {iterations} iterations with "
+            f"lam in [{lam_lo!r}, {lam_hi!r}] and |sum(q)-1| = {abs(total - 1.0):.3e} "
+            f"(tol {_TOL:g})"
         )
     # The lam_lo endpoint has sum(q) <= 1, keeping the plan feasible.
     q = np.zeros(n)
@@ -348,6 +313,5 @@ def load_plan(path) -> AmplitudePlan:
         t = data["t"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: not a plan file ({exc})") from exc
-    _check_t(t)
     meta = {k: data[k] for k in ("esp", "kkt_residual") if k in data}
     return AmplitudePlan(q=q, t=t, meta=meta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_int
 
 #: Absolute tolerance on the normalization invariant.
 NORM_TOL = 1e-12
@@ -87,8 +87,7 @@ def sample_random_prior(n: int, seed: int) -> Prior:
     from NumPy's PCG64 stream, whose output is fixed by the algorithm, not by
     the OS or hardware.
     """
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    check_int(n, "n", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     return new_prior(rng.random(n))
 
@@ -100,8 +99,7 @@ def top_k_mass(p: Prior, k: int) -> float:
     The full-mass case k = n is exactly 1 by normalization; partial sums are
     clamped into [0, 1] so rounding noise never leaks past the unit interval.
     """
-    if k < 0 or k > p.n:
-        raise InvalidInput(f"k must be in [0, {p.n}], got {k}")
+    check_int(k, "k", 0, p.n)
     if k == 0:
         return 0.0
     if k == p.n:

@@ -15,6 +15,7 @@ from qsearch import (
     sample_random_prior,
     theorem_a2_bound,
 )
+from qsearch import bounds
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 
@@ -99,6 +100,15 @@ def test_ascent_bound_limits():
         theorem_a2_bound(new_prior(np.ones(4)), 4)
     with pytest.raises(InvalidInput):
         theorem_a2_bound(new_prior(np.ones(4)), -1)
+
+
+def test_ascent_bound_rejects_bad_t_before_ascending(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("ascent ran on an invalid t")
+
+    monkeypatch.setattr(bounds, "_ascend", must_not_run)
+    with pytest.raises(InvalidInput):
+        theorem_a2_bound(sample_random_prior(8, 3), 2.5)
 
 
 def test_grid_search_two_items_saturates():

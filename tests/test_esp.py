@@ -89,7 +89,7 @@ def test_report_validation():
     with pytest.raises(InvalidInput):
         EspReport(method="magic", value=0.5, t=1, n=4)
     with pytest.raises(InvalidInput):
-        EspReport(method="custom", value=1.5, t=1, n=4)
+        EspReport(method="optimal", value=1.5, t=1, n=4)
 
 
 # ----------------------------------------------------------------- esp core

@@ -10,7 +10,6 @@ from qsearch import (
     AmplitudePlan,
     InvalidInput,
     NumericalFailure,
-    OptimizerConfig,
     cap,
     esp,
     kkt_residual,
@@ -87,13 +86,6 @@ def test_numpy_integer_t_is_accepted(t):
     assert plan.q.tolist() == optimize(p, 4).q.tolist()
 
 
-def test_config_validation():
-    with pytest.raises(InvalidInput):
-        OptimizerConfig(tol=0.0)
-    with pytest.raises(InvalidInput):
-        OptimizerConfig(max_iter=0)
-
-
 def test_naive_prior_saturates():
     plan = optimize(NAIVE, 1)
     assert plan.q[:4].tolist() == pytest.approx([cap(1)] * 4, abs=1e-15)
@@ -155,10 +147,19 @@ def test_budget_slack_branch():
     assert esp(p, plan) == 1.0
 
 
-def test_nonconvergence_raises():
-    p = sample_random_prior(32, 4)
-    with pytest.raises(NumericalFailure):
-        optimize(p, 1, OptimizerConfig(max_iter=1))
+def test_nonconvergence_raises(monkeypatch):
+    lam = 0.012345678901234567
+
+    def stalled(w, k, c, tol, max_iter):
+        return np.full(w.size, 0.5 / w.size), lam, max_iter, False
+
+    monkeypatch.setattr(optimizer, "waterfill", stalled)
+    with pytest.raises(NumericalFailure) as info:
+        optimize(sample_random_prior(32, 4), 1)
+    message = str(info.value)
+    assert "after 200 iterations" in message
+    assert repr(lam) in message
+    assert "|sum(q)-1| = 5.000e-01" in message
 
 
 @given(st.integers(0, 2**32), st.integers(1, 5))
@@ -314,3 +315,24 @@ def test_waterfill_zero_tolerance_never_accepted():
     q, _, _, converged = waterfill(w, k, c, 1e-300, 5)
     assert not converged
     assert float(np.sum(q)) <= 1.0
+
+
+EXTREME_PRIORS = {
+    "geomspace": np.geomspace(1.0, 1e-300, 64),
+    "single": [1.0],
+    "ties": np.ones(512),
+    "one-heavy": np.r_[1.0, np.full(511, 1e-300)],
+}
+
+
+@pytest.mark.parametrize("t", [1, 4, 22])
+@pytest.mark.parametrize("name", sorted(EXTREME_PRIORS))
+def test_extreme_priors_give_certified_plans(name, t):
+    p = new_prior(EXTREME_PRIORS[name])
+    plan = optimize(p, t)
+    q = plan.q
+    assert float(q.min()) >= 0.0
+    assert float(q.max()) <= cap(t)
+    assert float(q.sum()) <= 1.0 + 1e-12
+    assert plan.meta["esp"] == esp(p, plan)
+    assert plan.meta["kkt_residual"] <= 1e-9
