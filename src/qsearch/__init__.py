@@ -7,7 +7,7 @@ exact simulation and independent brute-force bounds, and emits runnable
 3-qubit circuits for the half-half benchmark family.
 """
 
-from .bounds import BoundReport, f_clamped, lemma_a1_search, theorem_a2_bound
+from .bounds import BoundReport, lemma_a1_search, theorem_a2_bound
 from .circuits import (
     REFERENCE_THETA,
     HalfHalfSpec,
@@ -83,7 +83,6 @@ __all__ = [
     "cap",
     "emit_qasm",
     "esp",
-    "f_clamped",
     "halfhalf_prior",
     "halfhalf_spec",
     "in_high_block",

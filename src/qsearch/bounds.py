@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import InvalidInput, ResourceLimit, check_int
 from .esp import cap, esp, slope
 from .prior import Prior
 
-__all__ = ["BoundReport", "f_clamped", "theorem_a2_bound", "lemma_a1_search"]
+__all__ = ["BoundReport", "theorem_a2_bound", "lemma_a1_search"]
 
 _HALF_PI = 0.5 * math.pi
 
@@ -58,21 +57,6 @@ class BoundReport:
             raise InvalidInput(f"unknown bound method {self.method!r}")
         if not -1e-9 <= self.bound_value <= 1.0 + 1e-9:
             raise InvalidInput(f"bound {self.bound_value!r} outside [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {
-            "bound_value": self.bound_value,
-            "achiever": np.asarray(self.achiever).tolist(),
-            "method": self.method,
-            "residual": self.residual,
-        }
-
-
-def f_clamped(x: float) -> float:
-    """sin(x) on [0, pi/2], constant 1 beyond; continuous at the junction."""
-    if x < 0.0:
-        raise InvalidInput(f"angle must be >= 0, got {x!r}")
-    return math.sin(x) if x <= _HALF_PI else 1.0
 
 
 def _clamped(angles: np.ndarray) -> np.ndarray:
@@ -135,9 +119,7 @@ def _ascend(w: np.ndarray, r0: np.ndarray, k: int, saturation: float):
     return value, r
 
 
-def theorem_a2_bound(
-    p: Prior, t: int, reference_esp: Optional[float] = None
-) -> BoundReport:
+def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
     """Best uncapped success probability over the simplex, by projected ascent.
 
     Maximizes sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 over r >= 0,
@@ -147,9 +129,8 @@ def theorem_a2_bound(
     interior points from a fixed stream; the best ascent wins, with exact
     ties broken toward the lexicographically smallest achiever.
 
-    ``reference_esp`` is the value the residual is measured against; when
-    omitted it is taken from the water-filling optimizer, which this bound
-    exists to cross-check (the maximization itself never touches it).
+    The residual is measured against the water-filling optimizer's ESP, which
+    this bound exists to cross-check; the maximization itself never touches it.
     """
     check_int(t, "t")
     if p.n > 8 or t > 3:
@@ -182,15 +163,14 @@ def theorem_a2_bound(
         ):
             best_value, best_r = value, r
 
-    if reference_esp is None:
-        from .optimizer import optimize  # deferred: only the residual needs it
+    # Looked up at call time, so a wrapper on qsearch.optimizer.optimize sees this solve.
+    from .optimizer import optimize
 
-        reference_esp = esp(p, optimize(p, t))
     return BoundReport(
         bound_value=min(1.0, best_value),
         achiever=best_r,
         method="projected-ascent",
-        residual=best_value - reference_esp,
+        residual=best_value - esp(p, optimize(p, t)),
     )
 
 

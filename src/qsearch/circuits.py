@@ -66,8 +66,7 @@ class HalfHalfSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if len(self.solution) != 3 or any(ch not in "01" for ch in self.solution):
-            raise InvalidInput(f"solution must be 3 bits, got {self.solution!r}")
+        solution_outcome(self.solution)
         if not 0.0 < self.theta <= math.pi:
             raise InvalidInput(f"theta must lie in (0, pi], got {self.theta!r}")
 

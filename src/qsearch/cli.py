@@ -32,7 +32,7 @@ from .esp import (
     success_prob_single,
     uniform_plan,
 )
-from .optimizer import kkt_residual, optimize, optimize_t1_closed_form, save_plan
+from .optimizer import kkt_residual, optimize, save_plan
 from .prior import Prior, l1_distance, load_prior, new_prior, sample_random_prior, top_k_mass
 from .simulator import run_iterations
 
@@ -46,12 +46,7 @@ _ORDER_TOL = 1e-9
 
 def cmd_optimize(args) -> int:
     p = load_prior(args.prior)
-    if args.method == "closed-t1":
-        if args.t != 1:
-            raise InvalidInput("--method closed-t1 requires --t 1")
-        plan = optimize_t1_closed_form(p)
-    else:
-        plan = optimize(p, args.t)
+    plan = optimize(p, args.t)
     save_plan(p, plan, args.out)
     print(f"esp {plan.meta['esp']!r}")
     print(f"kkt_residual {plan.meta['kkt_residual']!r}")
@@ -155,8 +150,6 @@ def _check_oracle_equivalence(args, rng) -> tuple:
         plan = AmplitudePlan(q=q, t=t)
         x = int(rng.integers(1, n + 1))
         simulated = run_iterations(plan, x)
-        if args.invert_oracle:
-            simulated = 1.0 - simulated
         analytic = success_prob_single(float(q[x - 1]), t)
         err = abs(simulated - analytic)
         if err > worst:
@@ -264,6 +257,8 @@ def cmd_verify(args) -> int:
         raise InvalidInput("--n-max must be >= 2")
     if args.t_max < 1:
         raise InvalidInput("--t-max must be >= 1")
+    if args.seed < 0:
+        raise InvalidInput("--seed must be >= 0")
     failures = 0
     for index, (name, check) in enumerate(_VERIFY_CHECKS):
         rng = np.random.Generator(np.random.PCG64([args.seed, index]))
@@ -300,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="solve one prior and write the plan")
     p_opt.add_argument("--prior", required=True, help="prior JSON file")
     p_opt.add_argument("--t", type=int, required=True, help="query budget")
-    p_opt.add_argument(
-        "--method", choices=("waterfill", "closed-t1"), default="waterfill"
-    )
     p_opt.add_argument("--out", required=True, help="plan JSON output path")
     p_opt.set_defaults(func=cmd_optimize)
 
@@ -325,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--t-max", dest="t_max", type=int, default=6)
     p_ver.add_argument("--trials", type=int, default=25)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument(
-        "--invert-oracle",
-        action="store_true",
-        help="self-test hook: flip the simulator comparison so the suite must fail",
-    )
     p_ver.set_defaults(func=cmd_verify)
 
     p_emit = sub.add_parser("emit", help="write a 3-qubit circuit as OpenQASM 2.0")

@@ -3,7 +3,8 @@
 Three failure kinds cover the whole surface: bad caller input, a numerical
 procedure that did not meet its tolerance contract, and requests beyond the
 desk-scale caps this package is designed for.  :func:`check_int` is the one
-validation rule for integer arguments (query budgets and counts).
+validation rule for integer arguments (query budgets and counts), and
+:func:`check_json_numbers` the one for number arrays read from JSON files.
 """
 
 import numbers
@@ -33,3 +34,14 @@ def check_int(value, name: str, minimum: int = 0, maximum: int | None = None) ->
         raise InvalidInput(f"{name} must be in [{minimum}, {maximum}], got {value}")
     if value < minimum:
         raise InvalidInput(f"{name} must be >= {minimum}")
+
+
+def check_json_numbers(values, name: str) -> None:
+    """Reject anything but a list of decoded JSON numbers as InvalidInput.
+
+    ``json.load`` gives int or float for a JSON number.  true, false, strings,
+    null and nested arrays are rejected: NumPy would read the first three as
+    1.0, 0.0 and a parsed float.
+    """
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise InvalidInput(f"{name} must be JSON numbers")

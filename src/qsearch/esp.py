@@ -85,15 +85,6 @@ class EspReport:
         if not 0.0 <= self.value <= 1.0:
             raise InvalidInput(f"ESP value {self.value!r} outside [0, 1]")
 
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "t": self.t,
-            "n": self.n,
-            "extras": dict(self.extras),
-        }
-
 
 def cap(t: int) -> float:
     """Saturation amplitude sin^2(pi / (2(2t+1))) for a t-query search."""

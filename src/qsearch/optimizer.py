@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, check_int
+from .errors import InvalidInput, NumericalFailure, check_int, check_json_numbers
 from .esp import AmplitudePlan, cap, esp, slope
 from .prior import Prior
 
@@ -309,9 +309,11 @@ def load_plan(path) -> AmplitudePlan:
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
     try:
+        check_json_numbers(data["q"], f"{path}: 'q'")
         q = np.asarray(data["q"], dtype=np.float64)
         t = data["t"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInput(f"{path}: not a plan file ({exc})") from exc
     meta = {k: data[k] for k in ("esp", "kkt_residual") if k in data}
+    check_json_numbers(list(meta.values()), f"{path}: 'esp' and 'kkt_residual'")
     return AmplitudePlan(q=q, t=t, meta=meta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, check_int
+from .errors import InvalidInput, check_int, check_json_numbers
 
 #: Absolute tolerance on the normalization invariant.
 NORM_TOL = 1e-12
@@ -53,7 +53,7 @@ def new_prior(raw_weights) -> Prior:
     """Normalize raw non-negative weights into a Prior (input order kept)."""
     try:
         w = np.asarray(raw_weights, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"weights are not numeric: {exc}") from exc
     if w.ndim != 1 or w.size == 0:
         raise InvalidInput("weights must be a non-empty 1-D vector")
@@ -118,8 +118,7 @@ def load_prior(path) -> Prior:
     if not isinstance(data, dict) or "weights" not in data:
         raise InvalidInput(f"{path}: expected a JSON object with a 'weights' key")
     weights = data["weights"]
-    if not isinstance(weights, list):
-        raise InvalidInput(f"{path}: 'weights' must be a JSON array")
+    check_json_numbers(weights, f"{path}: 'weights'")
     return new_prior(weights)
 
 

@@ -16,7 +16,7 @@ as the least significant bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -52,10 +52,6 @@ class StateVector:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def n_items(self) -> int:
-        return int(self.amplitudes.size - 1)
 
 
 @dataclass(frozen=True)

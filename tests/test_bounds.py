@@ -8,7 +8,6 @@ from qsearch import (
     InvalidInput,
     ResourceLimit,
     esp,
-    f_clamped,
     lemma_a1_search,
     new_prior,
     optimize,
@@ -21,19 +20,14 @@ NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 
 
 def test_f_clamped_shape():
-    assert f_clamped(0.0) == 0.0
-    assert f_clamped(math.pi / 4.0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert f_clamped(math.pi / 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert f_clamped(2.0) == 1.0
-    assert f_clamped(50.0) == 1.0
-    with pytest.raises(InvalidInput):
-        f_clamped(-0.1)
+    below = np.array([0.0, math.pi / 6.0, math.pi / 4.0, 1.5])
+    assert bounds._clamped(below).tolist() == pytest.approx(np.sin(below) ** 2, abs=1e-15)
+    assert bounds._clamped(np.array([math.pi / 2.0, 2.0, 50.0])).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_f_clamped_monotone():
-    xs = np.linspace(0.0, 4.0, 200)
-    ys = [f_clamped(float(x)) for x in xs]
-    assert all(b >= a - 1e-15 for a, b in zip(ys, ys[1:]))
+    ys = bounds._clamped(np.linspace(0.0, 4.0, 200))
+    assert np.all(np.diff(ys) >= -1e-15)
 
 
 def test_report_validation():
@@ -41,10 +35,6 @@ def test_report_validation():
         BoundReport(bound_value=0.5, achiever=np.zeros(2), method="magic", residual=0.0)
     with pytest.raises(InvalidInput):
         BoundReport(bound_value=1.5, achiever=np.zeros(2), method="grid", residual=0.0)
-    report = BoundReport(bound_value=0.5, achiever=np.array([0.5, 0.0]), method="grid", residual=0.0)
-    d = report.as_dict()
-    assert set(d) == {"bound_value", "achiever", "method", "residual"}
-    assert d["achiever"] == [0.5, 0.0]
 
 
 def test_ascent_bound_on_saturating_prior():
@@ -83,14 +73,11 @@ def test_ascent_bound_certifies_optimizer(seed, n, t):
     assert abs(report.residual) <= 1e-6
 
 
-def test_ascent_bound_reference_override():
+def test_ascent_bound_residual_is_against_the_optimizer():
     p = sample_random_prior(6, 9)
-    baseline = theorem_a2_bound(p, 1)
-    shifted = theorem_a2_bound(p, 1, reference_esp=0.5)
-    assert shifted.bound_value == baseline.bound_value
-    assert shifted.residual == pytest.approx(shifted.bound_value - 0.5, abs=1e-15)
+    report = theorem_a2_bound(p, 1)
     own = esp(p, optimize(p, 1))
-    assert baseline.residual == pytest.approx(baseline.bound_value - own, abs=1e-15)
+    assert report.residual == pytest.approx(report.bound_value - own, abs=1e-15)
 
 
 def test_ascent_bound_limits():

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import qsearch
@@ -39,26 +38,6 @@ def test_optimize_writes_plan(tmp_path, capsys):
     assert "kkt_residual" in captured
 
 
-def test_optimize_closed_form_route(tmp_path):
-    prior = write_prior(tmp_path, new_prior(np.ones(8)))
-    out = tmp_path / "plan.json"
-    code = cli.main(
-        ["optimize", "--prior", str(prior), "--t", "1", "--method", "closed-t1", "--out", str(out)]
-    )
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["q"] == pytest.approx([0.125] * 8, abs=1e-9)
-
-
-def test_optimize_closed_form_needs_t1(tmp_path):
-    prior = write_prior(tmp_path, NAIVE)
-    out = tmp_path / "plan.json"
-    code = cli.main(
-        ["optimize", "--prior", str(prior), "--t", "2", "--method", "closed-t1", "--out", str(out)]
-    )
-    assert code == 2
-
-
 def test_optimize_missing_prior(tmp_path):
     code = cli.main(
         ["optimize", "--prior", str(tmp_path / "nope.json"), "--t", "1", "--out", str(tmp_path / "o")]
@@ -73,6 +52,19 @@ def test_optimize_malformed_prior(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "weights",
+    ["[1, " + "9" * 401 + "]", '[true, "0.5", false, 1]', '[0.5, "0.5"]', "[0.5, null]", "[[0.5], 0.5]"],
+)
+def test_optimize_rejects_prior_entries_that_are_not_numbers(tmp_path, weights):
+    path = tmp_path / "bad.json"
+    path.write_text('{"weights": ' + weights + "}")
+    out = tmp_path / "plan.json"
+    code = cli.main(["optimize", "--prior", str(path), "--t", "1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_optimize_unwritable_out(tmp_path):
     prior = write_prior(tmp_path, NAIVE)
     out = tmp_path / "missing-dir" / "plan.json"
@@ -81,7 +73,7 @@ def test_optimize_unwritable_out(tmp_path):
 
 
 def test_optimize_maps_solver_failure(tmp_path, monkeypatch):
-    def explode(p, t, cfg=None):
+    def explode(p, t):
         raise NumericalFailure("did not converge")
 
     monkeypatch.setattr(cli, "optimize", explode)
@@ -213,8 +205,10 @@ def test_verify_passes(capsys):
     assert all(" PASS " in line for line in lines)
 
 
-def test_verify_inverted_oracle_fails(capsys):
-    code = cli.main(VERIFY_FAST + ["--invert-oracle"])
+def test_verify_inverted_oracle_fails(capsys, monkeypatch):
+    real = cli.run_iterations
+    monkeypatch.setattr(cli, "run_iterations", lambda plan, x: 1.0 - real(plan, x))
+    code = cli.main(VERIFY_FAST)
     out = capsys.readouterr().out
     assert code == 4
     assert any(line.startswith("oracle-equivalence") and " FAIL " in line for line in out.splitlines())
@@ -224,6 +218,7 @@ def test_verify_rejects_empty_suite():
     assert cli.main(["verify", "--trials", "0"]) == 2
     assert cli.main(["verify", "--n-max", "1"]) == 2
     assert cli.main(["verify", "--t-max", "0"]) == 2
+    assert cli.main(["verify", "--seed", "-1"]) == 2
 
 
 def test_emit_circuit_file(tmp_path, capsys):

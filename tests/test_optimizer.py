@@ -270,6 +270,39 @@ def test_load_plan_rejects_garbage(tmp_path):
         load_plan(path)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"t": 1, "q": [False, "0.25"], "esp": "high"},
+        {"t": 1, "q": [0.5, "0.25"]},
+        {"t": 1, "q": [0.5, None]},
+        {"t": 1, "q": [[0.5], 0.25]},
+        {"t": 1, "q": 0.5},
+        {"t": 1, "q": [1, 10**400]},
+        {"t": 1, "q": [0.5, 0.25], "esp": "high"},
+        {"t": 1, "q": [0.5, 0.25], "kkt_residual": True},
+    ],
+)
+def test_load_plan_rejects_entries_that_are_not_numbers(tmp_path, payload):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInput):
+        load_plan(path)
+
+
+def test_plan_json_certifies_under_the_prior_it_is_given(tmp_path):
+    # A plan solved for p_hat and saved under p carries p's numbers, not its
+    # own meta, which holds the certificate under p_hat.
+    p, p_hat = sample_random_prior(64, 4), sample_random_prior(64, 5)
+    plan = optimize(p_hat, 3)
+    data = json.loads(plan_to_json(p, plan))
+    assert data["esp"] == esp(p, plan) != plan.meta["esp"]
+    assert data["kkt_residual"] == kkt_residual(p, plan) != plan.meta["kkt_residual"]
+    path = tmp_path / "plan.json"
+    save_plan(p, plan, path)
+    assert load_plan(path).meta == {"esp": data["esp"], "kkt_residual": data["kkt_residual"]}
+
+
 def test_kernel_backend_is_python():
     assert kernel_backend() == "python"
 

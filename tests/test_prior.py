@@ -171,6 +171,16 @@ def test_loader_normalizes(tmp_path):
     assert load_prior(path).weights.tolist() == [0.5, 0.5]
 
 
+def test_loader_reads_json_dump_exactly(tmp_path):
+    rng = np.random.default_rng(3)
+    raw = rng.random(1000)
+    raw[rng.random(1000) < 0.95] = 0.0
+    path = tmp_path / "raw.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"weights": raw.tolist()}, fh)
+    assert load_prior(path).weights.tolist() == new_prior(raw).weights.tolist()
+
+
 @pytest.mark.parametrize(
     "text", ["not json", "[1, 2]", '{"nope": 1}', '{"weights": "x"}', '{"weights": []}']
 )

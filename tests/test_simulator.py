@@ -23,7 +23,7 @@ UNIFORM8 = AmplitudePlan(q=np.full(8, 0.125), t=1)
 
 def test_prepare_state_splits_mass():
     state = prepare_state(UNIFORM4)
-    assert state.n_items == 4
+    assert state.amplitudes.size == 5
     assert state.amplitudes[0] == 0.0
     assert state.amplitudes[1:].real.tolist() == pytest.approx([0.5] * 4, abs=1e-15)
 
