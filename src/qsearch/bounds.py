@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ResourceLimit, check_int
-from .esp import cap, esp, slope
+from .esp import cap, esp, marginal
 from .prior import Prior
 
 __all__ = ["BoundReport", "theorem_a2_bound", "lemma_a1_search"]
@@ -71,17 +71,6 @@ def _objective(w: np.ndarray, r: np.ndarray, k: int) -> float:
     return float(w @ _clamped(angles))
 
 
-def _gradient(w: np.ndarray, r: np.ndarray, k: int, saturation: float) -> np.ndarray:
-    grad = np.zeros_like(r)
-    live = r < saturation
-    rr = np.clip(r[live], 0.0, 1.0)
-    g = np.full(rr.shape, float(k * k))
-    pos = rr > 0.0
-    g[pos] = slope(rr[pos], k)
-    grad[live] = w[live] * g
-    return grad
-
-
 def _project(r: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {r >= 0, sum r <= 1}."""
     r = np.minimum(r, 1.0)
@@ -97,11 +86,14 @@ def _project(r: np.ndarray) -> np.ndarray:
     return np.maximum(r - shift, 0.0)
 
 
-def _ascend(w: np.ndarray, r0: np.ndarray, k: int, saturation: float):
+def _ascend(w: np.ndarray, r0: np.ndarray, t: int):
+    k = 2 * t + 1
+    c = cap(t)
     r = _project(np.asarray(r0, dtype=np.float64))
     value = _objective(w, r, k)
     for _ in range(_MAX_ASCENT_STEPS):
-        grad = _gradient(w, r, k, saturation)
+        # No gain from pushing a coordinate past saturation.
+        grad = np.where(r < c, w * marginal(r, t), 0.0)
         if float(np.linalg.norm(_project(r + grad) - r)) < _CONVERGENCE_TOL:
             break
         step = 1.0
@@ -137,8 +129,6 @@ def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
         raise ResourceLimit(f"ascent bound capped at n <= 8, t <= 3; got n={p.n}, t={t}")
     w = p.weights
     n = p.n
-    k = 2 * t + 1
-    saturation = cap(t)
 
     seeds = [np.full(n, 1.0 / n)]
     for i in range(n):
@@ -157,7 +147,7 @@ def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
     best_value = -1.0
     best_r = None
     for seed in seeds:
-        value, r = _ascend(w, seed, k, saturation)
+        value, r = _ascend(w, seed, t)
         if value > best_value or (
             value == best_value and tuple(r) < tuple(best_r)
         ):
@@ -193,35 +183,29 @@ def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool
     """Coordinate ascent by pairwise mass transfers, shrinking the step.
 
     ``tied`` refines within the equal-allocation family: the same transfer is
-    applied to every row so the rows stay identical.
+    applied to every row so the rows stay identical, and its amount is read
+    from row 0.
     """
     alloc = alloc.copy()
     m, n = alloc.shape
+    rows = [slice(None)] if tied else [slice(r, r + 1) for r in range(m)]
     value = _alloc_objective(w, alloc)
     delta = step0
     sweeps = 0
     while delta > 1e-10 and sweeps < 500:
         sweeps += 1
         improved = False
-        rows = [None] if tied else list(range(m))
         for row in rows:
             for i in range(n):
                 for j in range(n):
                     if i == j:
                         continue
+                    amount = min(delta, float(alloc[row, i][0]))
+                    if amount <= 0.0:
+                        continue
                     moved = alloc.copy()
-                    if tied:
-                        amount = min(delta, float(moved[0, i]))
-                        if amount <= 0.0:
-                            continue
-                        moved[:, i] -= amount
-                        moved[:, j] += amount
-                    else:
-                        amount = min(delta, float(moved[row, i]))
-                        if amount <= 0.0:
-                            continue
-                        moved[row, i] -= amount
-                        moved[row, j] += amount
+                    moved[row, i] -= amount
+                    moved[row, j] += amount
                     cand = _alloc_objective(w, moved)
                     if cand > value + 1e-15:
                         alloc, value = moved, cand

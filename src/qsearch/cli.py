@@ -82,10 +82,14 @@ def cmd_compare(args) -> int:
         raise InvalidInput(f"--prior has {injected.n} items but --n is {args.n}")
 
     t_values = list(range(args.t_min, args.t_max + 1))
-    per_sample = [
-        _sample_methods(injected or sample_random_prior(args.n, args.seed ^ s), t_values)
-        for s in range(args.samples)
-    ]
+    if injected is not None:
+        # The same prior in every sample: solve it once.
+        per_sample = [_sample_methods(injected, t_values)] * args.samples
+    else:
+        per_sample = [
+            _sample_methods(sample_random_prior(args.n, args.seed ^ s), t_values)
+            for s in range(args.samples)
+        ]
 
     for s, rows in enumerate(per_sample):
         for t, (classical, uniform, ranking, optimal) in zip(t_values, rows):

@@ -7,6 +7,7 @@ validation rule for integer arguments (query budgets and counts), and
 :func:`check_json_numbers` the one for number arrays read from JSON files.
 """
 
+import math
 import numbers
 
 
@@ -41,7 +42,15 @@ def check_json_numbers(values, name: str) -> None:
 
     ``json.load`` gives int or float for a JSON number.  true, false, strings,
     null and nested arrays are rejected: NumPy would read the first three as
-    1.0, 0.0 and a parsed float.
+    1.0, 0.0 and a parsed float.  So are NaN, Infinity and -Infinity, which
+    ``json.load`` reads as floats although JSON has no such numbers, and
+    integers too large for a float.
     """
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise InvalidInput(f"{name} must be JSON numbers")
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidInput(f"{name} must be finite numbers within the float range")

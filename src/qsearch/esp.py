@@ -8,10 +8,11 @@ Averaging over a prior p gives the objective everything here evaluates:
 
 g rises from 0 to 1 on [0, cap(t)], cap(t) = sin^2(pi/(2(2t+1))), with
 slope g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))), k = 2t+1.  The
-curve, its slope and its cap are defined here once; the optimizer and the
-bounds use them from here.  Besides the objective itself this module holds
-the two non-optimal baselines (best-M ranking search and the
-quadratic-speedup construction) that the optimal plan is measured against.
+curve, its slope, the slope on the faces of [0, cap] (marginal) and the cap
+are defined here once; the optimizer and the bounds use them from here.
+Besides the objective itself this module holds the two non-optimal
+baselines (best-M ranking search and the quadratic-speedup construction)
+that the optimal plan is measured against.
 """
 
 from __future__ import annotations
@@ -102,6 +103,21 @@ def slope(q, k, w=None):
     """
     c = k if w is None else w * k
     return c * np.sin(2.0 * k * np.arcsin(np.sqrt(q))) / (2.0 * np.sqrt(q * (1.0 - q)))
+
+
+def marginal(q, t: int) -> np.ndarray:
+    """g'(q) with q clipped to [0, cap(t)] and the limit g'(0+) = (2t+1)^2 at 0.
+
+    q = 1 is reachable only at t = 0 (cap(0) = 1), where g is the identity
+    and k^2 = 1 is already the exact endpoint derivative.  The water-fill's
+    certificate and the ascent bound's gradient both read the faces from here.
+    """
+    k = 2 * t + 1
+    qc = np.clip(q, 0.0, cap(t))
+    out = np.full(qc.shape, float(k * k))
+    inside = (qc > 0.0) & (qc < 1.0)
+    out[inside] = slope(qc[inside], k)
+    return out
 
 
 def success_prob_single(q_i: float, t: int) -> float:

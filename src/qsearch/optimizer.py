@@ -3,14 +3,18 @@
 For a fixed budget t the objective sum_i p_i g(q_i) with
 g(q) = sin^2((2t+1) arcsin sqrt(q)) is separable and strictly concave on the
 box 0 <= q_i <= cap(t), the point at which one item's success probability
-saturates at 1 (g, its slope g' and cap are defined in :mod:`qsearch.esp`).
-The optimum therefore has water-filling structure: every coordinate strictly
-inside the box equalizes its marginal gain p_i g'(q_i) at a common
-multiplier, coordinates at 0 have marginal below it, coordinates at the cap
-above it.  Two nested monotone bisections (outer on the multiplier, inner
-per coordinate) solve this to tolerance; both directions are certified
-monotone, so the solve is deterministic and needs no line search or
-step-size tuning.
+saturates at 1 (g, its slope g', its face values and cap are defined in
+:mod:`qsearch.esp`).  The optimum therefore has water-filling structure:
+every coordinate strictly inside the box equalizes its marginal gain
+p_i g'(q_i) at a common multiplier, coordinates at 0 have marginal below it,
+coordinates at the cap above it.
+
+One skeleton, :func:`_solve`, pins zero weights, saturates every item when
+the caps fit the budget, hands a binding budget to a fill, reports a fill
+that missed its tolerance and certifies the result.  Two fills plug into it:
+:func:`waterfill`, two nested monotone bisections (outer on the multiplier,
+inner per coordinate) that need no line search or step-size tuning, and the
+t = 1 closed form's single bisection, kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, check_int, check_json_numbers
-from .esp import AmplitudePlan, cap, esp, slope
+from .esp import AmplitudePlan, cap, esp, marginal, slope
 from .prior import Prior
 
 __all__ = [
@@ -51,20 +55,6 @@ _MAX_ITER = 200
 def kernel_backend() -> str:
     """Name of the water-fill implementation; there is only the NumPy one."""
     return "python"
-
-
-def _marginals(w: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
-    """p_i g'(q_i) with the closed-form limits g'(0+) = (2t+1)^2, g'(cap-) = 0.
-
-    q = 1 is reachable only at t = 0 (cap(0) = 1), where g is the identity
-    and the default k^2 = 1 is already the exact endpoint derivative.
-    """
-    k = 2 * t + 1
-    qc = np.clip(q, 0.0, cap(t))
-    out = np.full(qc.shape, float(k * k))
-    inside = (qc > 0.0) & (qc < 1.0)
-    out[inside] = slope(qc[inside], k)
-    return w * out
 
 
 def _coords_for_lambda(p, lam, k, cap):
@@ -131,52 +121,49 @@ def waterfill(p, k, cap, tol, max_iter):
     return q, lam_hi, iterations, converged
 
 
-def optimize(p: Prior, t: int) -> AmplitudePlan:
-    """Amplitude plan maximizing the expected success probability.
+def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
+    """The certified plan for a budget t >= 1, with ``fill`` solving the support.
 
-    Zero-weight items are pinned to q = 0 up front (amplitude there is
-    wasted and only degrades the KKT system).  If the caps of the remaining
-    items fit inside the unit budget the multiplier is 0 and every supported
-    item saturates; otherwise the budget binds and the water-fill runs.
-    t = 0 degenerates to a single classical guess: all amplitude on the
-    (first) most likely item.
-
-    Raises NumericalFailure, with the iteration count, the multiplier and the
-    last |sum(q) - 1|, if the bisection does not reach its tolerance.
+    Zero-weight items are pinned to q = 0 (amplitude there is wasted and only
+    degrades the KKT system).  If the caps of the remaining items fit inside
+    the unit budget the multiplier is 0 and every supported item saturates.
+    Otherwise the budget binds and ``fill(weights[support])`` returns
+    (q, lam, iterations, converged); a solve that missed its tolerance raises
+    NumericalFailure with the iteration count, the multiplier and the last
+    |sum(q) - 1|.
     """
-    check_int(t, "t")
     w = p.weights
-    n = p.n
-
-    if t == 0:
-        q = np.zeros(n)
-        q[int(np.argmax(w))] = 1.0
-        plan = AmplitudePlan(q=q, t=0, meta={})
-        return _with_meta(p, plan)
-
-    c = cap(t)
     support = w > 0.0
-    n_support = int(support.sum())
-
-    if n_support * c <= 1.0:
-        # Budget slack: every supported item saturates, multiplier 0.
-        q = np.where(support, c, 0.0)
-        plan = AmplitudePlan(q=q, t=t, meta={})
-        return _with_meta(p, plan)
-
-    q_pos, lam, iterations, converged = waterfill(
-        w[support], float(2 * t + 1), c, _TOL, _MAX_ITER
-    )
+    c = cap(t)
+    q = np.zeros(p.n)
+    if int(support.sum()) * c <= 1.0:
+        q[support] = c
+        return _certified(p, q, t)
+    q_pos, lam, iterations, converged = fill(w[support])
     if not converged:
         gap = abs(float(np.sum(q_pos)) - 1.0)
         raise NumericalFailure(
             f"water-fill stopped after {iterations} iterations at lam = {lam!r} "
             f"with |sum(q)-1| = {gap:.3e} (tol {_TOL:g})"
         )
-    q = np.zeros(n)
     q[support] = q_pos
-    plan = AmplitudePlan(q=q, t=t, meta={})
-    return _with_meta(p, plan)
+    return _certified(p, q, t)
+
+
+def optimize(p: Prior, t: int) -> AmplitudePlan:
+    """Amplitude plan maximizing the expected success probability.
+
+    t = 0 degenerates to a single classical guess: all amplitude on the
+    (first) most likely item.  Every t >= 1 goes through :func:`_solve` with
+    the water-fill as the solver for a binding budget.
+    """
+    check_int(t, "t")
+    if t == 0:
+        q = np.zeros(p.n)
+        q[int(np.argmax(p.weights))] = 1.0
+        return _certified(p, q, 0)
+    # waterfill is looked up at call time, so a wrapper on the module attribute sees it.
+    return _solve(p, t, lambda ws: waterfill(ws, float(2 * t + 1), cap(t), _TOL, _MAX_ITER))
 
 
 def optimize_t1_closed_form(p: Prior) -> AmplitudePlan:
@@ -184,61 +171,46 @@ def optimize_t1_closed_form(p: Prior) -> AmplitudePlan:
 
     At t = 1 the stationarity condition p_i (48 q_i^2 - 48 q_i + 9) = -lam
     inverts in closed form to q_i = 1/2 - sqrt(1/16 - lam/(48 p_i)), so only
-    one bisection (over lam <= 0) is needed to hit sum(q) = 1.  With at most
-    four supported items the caps fit the budget and the success probability
-    reaches 1 outright.  Agrees with :func:`optimize` at t = 1 to solver
-    tolerance; kept as an independent route for cross-checking.
+    one bisection (over lam <= 0) is needed to hit sum(q) = 1.  The pinning,
+    the slack case (at most four supported items, where the success
+    probability reaches 1 outright) and the failure report are
+    :func:`_solve`'s, shared with :func:`optimize`.  Agrees with
+    :func:`optimize` at t = 1 to solver tolerance; kept as an independent
+    route for cross-checking.
     """
-    w = p.weights
-    n = p.n
-    support = w > 0.0
-    n_support = int(support.sum())
 
-    if n_support <= 4:
-        q = np.where(support, cap(1), 0.0)
-        plan = AmplitudePlan(q=q, t=1, meta={})
-        return _with_meta(p, plan)
+    def fill(ws: np.ndarray):
+        def coords(lam: float) -> np.ndarray:
+            radicand = 1.0 / 16.0 - lam / (48.0 * ws)
+            qs = 0.5 - np.sqrt(np.maximum(radicand, 0.0))
+            return np.clip(qs, 0.0, 0.25)
 
-    ws = w[support]
+        # sum(q(lam)) grows monotonically from 0 at lam = -9 max(p) (every
+        # coordinate clamped to 0) to 0.25 * support > 1 at lam = 0.
+        lam_lo = -9.0 * float(ws.max())
+        lam_hi = 0.0
+        scale = -lam_lo
+        converged = False
+        iterations = 0
+        for iterations in range(1, _MAX_ITER + 1):
+            if lam_hi - lam_lo <= _TOL * scale:
+                converged = True
+                break
+            lam = 0.5 * (lam_lo + lam_hi)
+            total = float(coords(lam).sum())
+            # Accept only from the feasible side so sum(q) <= 1 always holds.
+            if 1.0 - _TOL <= total <= 1.0:
+                lam_lo = lam
+                converged = True
+                break
+            if total > 1.0:
+                lam_hi = lam
+            else:
+                lam_lo = lam
+        # The lam_lo endpoint has sum(q) <= 1, keeping the plan feasible.
+        return coords(lam_lo), lam_lo, iterations, converged
 
-    def coords(lam: float) -> np.ndarray:
-        radicand = 1.0 / 16.0 - lam / (48.0 * ws)
-        qs = 0.5 - np.sqrt(np.maximum(radicand, 0.0))
-        return np.clip(qs, 0.0, 0.25)
-
-    # sum(q(lam)) grows monotonically from 0 at lam = -9 max(p) (every
-    # coordinate clamped to 0) to 0.25 * support > 1 at lam = 0.
-    lam_lo = -9.0 * float(ws.max())
-    lam_hi = 0.0
-    scale = -lam_lo
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        if lam_hi - lam_lo <= _TOL * scale:
-            converged = True
-            break
-        lam = 0.5 * (lam_lo + lam_hi)
-        total = float(coords(lam).sum())
-        # Accept only from the feasible side so sum(q) <= 1 always holds.
-        if 1.0 - _TOL <= total <= 1.0:
-            lam_lo = lam
-            converged = True
-            break
-        if total > 1.0:
-            lam_hi = lam
-        else:
-            lam_lo = lam
-    if not converged:
-        raise NumericalFailure(
-            f"multiplier bisection stopped after {iterations} iterations with "
-            f"lam in [{lam_lo!r}, {lam_hi!r}] and |sum(q)-1| = {abs(total - 1.0):.3e} "
-            f"(tol {_TOL:g})"
-        )
-    # The lam_lo endpoint has sum(q) <= 1, keeping the plan feasible.
-    q = np.zeros(n)
-    q[support] = coords(lam_lo)
-    plan = AmplitudePlan(q=q, t=1, meta={})
-    return _with_meta(p, plan)
+    return _solve(p, 1, fill)
 
 
 def kkt_residual(p: Prior, plan: AmplitudePlan) -> float:
@@ -256,7 +228,7 @@ def kkt_residual(p: Prior, plan: AmplitudePlan) -> float:
         raise InvalidInput(f"dimension mismatch: prior {p.n} vs plan {plan.n}")
     c = cap(plan.t)
     q = plan.q
-    marg = _marginals(p.weights, q, plan.t)
+    marg = p.weights * marginal(q, plan.t)
 
     at_zero = q <= _FACE_TOL
     at_cap = q >= c - _FACE_TOL
@@ -279,10 +251,11 @@ def kkt_residual(p: Prior, plan: AmplitudePlan) -> float:
     return residual
 
 
-def _with_meta(p: Prior, plan: AmplitudePlan) -> AmplitudePlan:
-    """Attach the ESP and KKT residual diagnostics to a solved plan."""
+def _certified(p: Prior, q: np.ndarray, t: int) -> AmplitudePlan:
+    """The plan (q, t) with its ESP and KKT residual under p in ``meta``."""
+    plan = AmplitudePlan(q=q, t=t)
     meta = {"esp": esp(p, plan), "kkt_residual": kkt_residual(p, plan)}
-    return AmplitudePlan(q=plan.q, t=plan.t, meta=meta)
+    return AmplitudePlan(q=plan.q, t=t, meta=meta)
 
 
 def plan_to_json(p: Prior, plan: AmplitudePlan) -> str:
@@ -312,7 +285,7 @@ def load_plan(path) -> AmplitudePlan:
         check_json_numbers(data["q"], f"{path}: 'q'")
         q = np.asarray(data["q"], dtype=np.float64)
         t = data["t"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"{path}: not a plan file ({exc})") from exc
     meta = {k: data[k] for k in ("esp", "kkt_residual") if k in data}
     check_json_numbers(list(meta.values()), f"{path}: 'esp' and 'kkt_residual'")

@@ -147,6 +147,34 @@ def test_compare_injected_prior_rows(tmp_path):
     assert float(uniform[3]) == 0.0
 
 
+def test_compare_injected_prior_is_solved_once(tmp_path, monkeypatch):
+    # Every sample reuses the one injected prior, so each budget is solved once.
+    calls = []
+    real = cli.optimize
+
+    def counted(p, t):
+        calls.append(t)
+        return real(p, t)
+
+    monkeypatch.setattr(cli, "optimize", counted)
+    prior = write_prior(tmp_path, new_prior([0.3, 0.25, 0.2, 0.15, 0.06, 0.04]))
+    code = cli.main(
+        [
+            "compare",
+            "--n", "6",
+            "--samples", "4",
+            "--t-max", "3",
+            "--prior", str(prior),
+            "--out", str(tmp_path / "fixed.csv"),
+        ]
+    )
+    assert code == 0
+    assert calls == [1, 2, 3]
+    rows = read_csv(tmp_path / "fixed.csv")[1:]
+    assert {row[3] for row in rows} == {"0.0"}
+    assert {row[4] for row in rows} == {"4"}
+
+
 def test_compare_injected_prior_must_match_n(tmp_path):
     prior = write_prior(tmp_path, NAIVE)
     code = cli.main(

@@ -18,6 +18,7 @@ from qsearch import (
     top_k_mass,
     uniform_plan,
 )
+from qsearch.esp import cap, marginal, slope
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 UNIFORM8 = new_prior(np.ones(8))
@@ -204,3 +205,15 @@ def test_speedup_rejects_bad_budget():
         speedup_plan(NAIVE, 0)
     with pytest.raises(InvalidInput):
         speedup_plan(NAIVE, 9)
+
+
+def test_marginal_face_values():
+    # g'(0+) = (2t+1)^2 at and below 0; above the cap q is read as the cap.
+    q = np.array([-0.1, 0.0, 0.05, cap(2), 0.5])
+    out = marginal(q, 2)
+    assert out[:2].tolist() == [25.0, 25.0]
+    assert out[2] == slope(np.array([0.05]), 5)[0]
+    assert out[3] == out[4] == slope(np.array([cap(2)]), 5)[0]
+    assert abs(out[3]) < 1e-12
+    # at t = 0 the curve is the identity, slope 1 up to q = 1
+    assert marginal(np.array([0.0, 0.5, 1.0]), 0).tolist() == [1.0, 1.0, 1.0]

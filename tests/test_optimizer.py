@@ -162,6 +162,16 @@ def test_nonconvergence_raises(monkeypatch):
     assert "|sum(q)-1| = 5.000e-01" in message
 
 
+def test_closed_form_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(optimizer, "_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure) as info:
+        optimize_t1_closed_form(sample_random_prior(32, 4))
+    message = str(info.value)
+    assert "after 1 iterations" in message
+    assert "at lam = -" in message
+    assert "|sum(q)-1| = " in message
+
+
 @given(st.integers(0, 2**32), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_feasibility_and_alignment(seed, t):
@@ -281,6 +291,9 @@ def test_load_plan_rejects_garbage(tmp_path):
         {"t": 1, "q": [1, 10**400]},
         {"t": 1, "q": [0.5, 0.25], "esp": "high"},
         {"t": 1, "q": [0.5, 0.25], "kkt_residual": True},
+        {"t": 1, "q": [0.5, 0.25], "esp": math.nan},
+        {"t": 1, "q": [0.5, 0.25], "kkt_residual": math.inf},
+        {"t": 1, "q": [0.5, 0.25], "esp": 0.5, "kkt_residual": -math.inf},
     ],
 )
 def test_load_plan_rejects_entries_that_are_not_numbers(tmp_path, payload):
