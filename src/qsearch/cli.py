@@ -47,7 +47,8 @@ _ORDER_TOL = 1e-9
 def cmd_optimize(args) -> int:
     p = load_prior(args.prior)
     plan = optimize(p, args.t)
-    save_plan(p, plan, args.out)
+    # plan.meta is the certificate under p, the prior the plan was solved for.
+    save_plan(p, plan, args.out, plan.meta)
     print(f"esp {plan.meta['esp']!r}")
     print(f"kkt_residual {plan.meta['kkt_residual']!r}")
     return 0

@@ -8,8 +8,9 @@ Averaging over a prior p gives the objective everything here evaluates:
 
 g rises from 0 to 1 on [0, cap(t)], cap(t) = sin^2(pi/(2(2t+1))), with
 slope g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))), k = 2t+1.  The
-curve, its slope, the slope on the faces of [0, cap] (marginal) and the cap
-are defined here once; the optimizer and the bounds use them from here.
+curve, its slope, its curvature g'' (with the slope, slope_and_curvature),
+the slope on the faces of [0, cap] (marginal) and the cap are defined here
+once; the optimizer and the bounds use them from here.
 Besides the objective itself this module holds the two non-optimal
 baselines (best-M ranking search and the quadratic-speedup construction)
 that the optimal plan is measured against.
@@ -93,16 +94,37 @@ def cap(t: int) -> float:
     return math.sin(math.pi / (2.0 * (2 * t + 1))) ** 2
 
 
-def slope(q, k, w=None):
-    """g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))) for 0 < q < 1, k = 2t+1.
+def slope(q, k):
+    """g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))) for 0 < q < 1, k = 2t+1."""
+    return _slope_at(q, k, 2.0 * k * np.arcsin(np.sqrt(q)))
 
-    With weights ``w`` this is w * g'(q), with w multiplied in before the
-    division; callers that scale afterwards pass no ``w``.  The two orders
-    round differently, and each caller keeps the one its results were
-    computed with.
+
+def slope_and_curvature(q, k):
+    """g'(q) and g''(q) on an array of 0 <= q <= cap(t), k = 2t+1, from one angle.
+
+        g''(q) = (2k^2 cos(2k arcsin sqrt q) - 2 g'(q)(1 - 2q)) / (4q(1-q))
+
+    g'' is strictly negative on [0, cap(t)]: g is strictly concave there, which
+    the water-fill relies on.  Near 0 the two terms of the numerator cancel,
+    so below k^2 q = 1e-5 g'' is the two-term series
+    -2k^2(k^2-1)/3 * (1 - 2q(k^2-4)/5) instead (both are then within about
+    1e-11 of the exact value).  At q = 0 the pair is the limit
+    (k^2, -2k^2(k^2-1)/3).  g' has the bits of :func:`slope`.  The Newton
+    step of the water-fill needs both and pays for the angle once.
     """
-    c = k if w is None else w * k
-    return c * np.sin(2.0 * k * np.arcsin(np.sqrt(q))) / (2.0 * np.sqrt(q * (1.0 - q)))
+    q = np.maximum(q, np.finfo(np.float64).tiny)  # q = 0 gives the limits, not 0/0
+    angle = 2.0 * k * np.arcsin(np.sqrt(q))
+    g1 = _slope_at(q, k, angle)
+    g2 = (2.0 * k * k * np.cos(angle) - 2.0 * g1 * (1.0 - 2.0 * q)) / (4.0 * q * (1.0 - q))
+    near = q * (k * k) < 1e-5
+    if near.any():
+        kk = float(k) * float(k)
+        g2[near] = -2.0 * kk * (kk - 1.0) / 3.0 * (1.0 - 0.4 * (kk - 4.0) * q[near])
+    return g1, g2
+
+
+def _slope_at(q, k, angle):
+    return k * np.sin(angle) / (2.0 * np.sqrt(q * (1.0 - q)))
 
 
 def marginal(q, t: int) -> np.ndarray:

@@ -11,20 +11,26 @@ coordinates at the cap above it.
 
 One skeleton, :func:`_solve`, pins zero weights, saturates every item when
 the caps fit the budget, hands a binding budget to a fill, reports a fill
-that missed its tolerance and certifies the result.  Two fills plug into it:
-:func:`waterfill`, two nested monotone bisections (outer on the multiplier,
-inner per coordinate) that need no line search or step-size tuning, and the
-t = 1 closed form's single bisection, kept as an independent cross-check.
+that missed its tolerance and certifies the result.  Two fills plug into it.
+:func:`waterfill` runs safeguarded Newton twice over: on the multiplier
+outside, and per coordinate inside for each multiplier.  Each loop keeps the
+monotone bracket that a bisection would, and bisects only when a Newton step
+leaves it, so it needs no line search or step-size tuning (the standard
+treatment of water-filling: Palomar and Fonollosa, IEEE Trans. Signal
+Processing 53(2), 2005; Boyd and Vandenberghe, Convex Optimization, 5.5.3).
+The t = 1 closed form's single bisection is kept as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, check_int, check_json_numbers
-from .esp import AmplitudePlan, cap, esp, marginal, slope
+from .esp import AmplitudePlan, cap, esp, marginal, slope, slope_and_curvature
 from .prior import Prior
 
 __all__ = [
@@ -42,13 +48,9 @@ __all__ = [
 # bound-active when checking the KKT conditions.
 _FACE_TOL = 1e-11
 
-# Inner bisection depth.  cap / 2**54 is below one ulp of any q in (0, 1/4],
-# so each coordinate is resolved to full double precision.
-_INNER_ITERS = 54
-
-# Outer bisections (water-fill and closed form): relative tolerance on the
-# multiplier bracket and on |sum(q) - 1|, and the iteration cap.
-_TOL = 1e-12
+# Outer multiplier search (water-fill and closed form): relative tolerance on
+# the multiplier bracket and on |sum(q) - 1|, and the iteration cap.
+_TOL = 1e-14
 _MAX_ITER = 200
 
 
@@ -57,27 +59,70 @@ def kernel_backend() -> str:
     return "python"
 
 
-def _coords_for_lambda(p, lam, k, cap):
-    """Per-item inner solve: q_i with p_i * g'(q_i) = lam, clipped to [0, cap].
+def _newton_coords(p, lam, k, cap, curv0, q, curv):
+    """Set each q_i to the root of p_i g'(q_i) = lam in [0, cap], in place.
 
-    g' (:func:`qsearch.esp.slope`) is strictly decreasing on (0, cap) from
-    g'(0+) = k^2 down to g'(cap-) = 0, so a plain bisection per coordinate is
-    monotone and exact to the iteration depth.
+    g' falls strictly from g'(0+) = k^2 to g'(cap) = 0, so items with
+    p_i k^2 <= lam sit at 0 and every other item has one root inside (0, cap).
+    Each root is found by Newton in q inside its own bracket [lo, hi], which
+    the sign of p_i g'(q_i) - lam narrows at every step; a step that leaves the
+    bracket is replaced by the bracket's midpoint.  A coordinate stops when
+    the raw Newton step or its bracket is at most cap * 2**-52.  It then takes
+    that last step only if the step stays inside the bracket: below that
+    resolution g' is noise, and a bisection would only move it off the root.
+    Only coordinates that have not stopped are iterated.
+
+    On entry q holds the warm start, the previous multiplier's coordinates;
+    an item coming off 0 starts at the Newton step from 0, where g' = k^2 and
+    g'' = curv0.  On return curv holds p_i g''(q_i) where q_i > 0 and -inf
+    where q_i = 0, so that sum(1 / curv) is dS/dlam for S = sum(q).
     """
-    q = np.zeros_like(p)
+    res = cap * 2.0**-52
     active = p * (k * k) > lam
-    if not np.any(active):
-        return q
-    pa = p[active]
-    lo = np.zeros(pa.size)
-    hi = np.full(pa.size, cap)
-    for _ in range(_INNER_ITERS):
-        mid = 0.5 * (lo + hi)
-        take = slope(mid, k, pa) > lam
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    q[active] = 0.5 * (lo + hi)
-    return q
+    q[~active] = 0.0
+    curv[~active] = -np.inf
+    idx = np.flatnonzero(active)
+    w = p[idx]
+    x = q[idx]
+    fresh = x == 0.0
+    x[fresh] = np.maximum((lam / w[fresh] - k * k) / curv0, res)
+    lo = np.zeros(idx.size)
+    hi = np.full(idx.size, cap)
+    while idx.size:
+        g1, g2 = slope_and_curvature(x, k)
+        f = w * g1 - lam
+        c = w * g2
+        rising = f > 0.0
+        np.copyto(lo, x, where=rising)
+        np.copyto(hi, x, where=~rising)
+        step = f / c
+        done = (np.abs(step) <= res) | (hi - lo <= res)
+        x_new = x - step
+        outside = ~((x_new > lo) & (x_new < hi))
+        if done.any():
+            q[idx[done]] = np.where(outside[done], x[done], x_new[done])
+            curv[idx[done]] = c[done]
+            keep = ~done
+            idx, w, x_new, lo, hi = idx[keep], w[keep], x_new[keep], lo[keep], hi[keep]
+            outside = outside[keep]
+        x = x_new
+        x[outside] = 0.5 * (lo[outside] + hi[outside])
+
+
+def _first_level(p, k, curv0):
+    """A first multiplier from g' linearised at 0, g'(q) ~ k^2 + curv0 q.
+
+    The line never reaches the cap.  With the m largest weights p_(1..m)
+    active it gives sum(q) = 1 at lam_m = (m k^2 + curv0) / sum_{i<=m} 1/p_(i),
+    and the water level is the last lam_m > 0 that keeps its m-th item
+    active (lam_m < p_(m) k^2).  Returns inf when no m qualifies.
+    """
+    desc = -np.sort(-p)
+    # Weights near 1e-308 overflow the sum of 1/p; the level there is 0 and never fits.
+    with np.errstate(over="ignore"):
+        levels = (np.arange(1, p.size + 1) * (k * k) + curv0) / np.cumsum(1.0 / desc)
+    fits = np.flatnonzero((levels > 0.0) & (levels < desc * (k * k)))
+    return float(levels[fits[-1]]) if fits.size else math.inf
 
 
 def waterfill(p, k, cap, tol, max_iter):
@@ -87,28 +132,43 @@ def waterfill(p, k, cap, tol, max_iter):
         p: 1-D float64 array of strictly positive weights (need not sum to 1).
         k: 2t + 1 for query budget t >= 1.
         cap: per-coordinate upper bound sin^2(pi / (2k)).
-        tol: relative tolerance on the multiplier bracket; a midpoint with
-            1 - tol <= sum(q) <= 1 is accepted early.
-        max_iter: outer bisection iteration cap.
+        tol: tolerance on the multiplier bracket, relative to its upper end;
+            an iterate with 1 - tol <= sum(q) <= 1 is accepted early.
+        max_iter: outer iteration cap.
 
     Returns (q, lam, iterations, converged).  Caller guarantees
     len(p) * cap > 1, i.e. the budget constraint is active, so the multiplier
-    lam lies in (0, k^2 * max(p)).  sum(q(lam)) is non-increasing in lam; the
-    returned bracket endpoint is the one with sum(q) <= 1 so the result is
-    always feasible.
+    lam lies in (0, k^2 * max(p)).  S(lam) = sum(q(lam)) is non-increasing in
+    lam, and the bracket [lam_lo, lam_hi] keeps S(lam_lo) > 1 >= S(lam_hi).
+    From :func:`_first_level` each step is Newton on S = 1 - tol/2, the middle
+    of the accepted window, with dS/dlam = sum(1 / (p_i g''(q_i))) over the
+    coordinates inside (0, cap); aimed at 1 itself, it would approach from the
+    infeasible side, which is never accepted.  A step that leaves the bracket
+    is replaced by the bracket's geometric mean.  Otherwise the plan returned
+    is the one evaluated at lam_hi, whose sum(q) <= 1, so the result is always
+    feasible.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
+    curv0 = float(slope_and_curvature(np.zeros(1), k)[1][0])
     lam_hi = float(p.max()) * k * k
-    lam_lo = 0.0
-    scale = lam_hi
+    # Every q_i(lam) >= q0 once lam <= min(p) g'(q0), and len(p) * q0 > 1, so
+    # S(lam_lo) > 1 (floored at the smallest float to keep lam_lo positive).
+    q0 = 0.5 * (1.0 / p.size + cap)
+    lam_lo = max(float(p.min()) * float(slope(q0, k)), math.ulp(0.0))
+    lam = _first_level(p, k, curv0)
+    target = 1.0 - 0.5 * tol
+    q = np.zeros_like(p)
+    q_hi = np.zeros_like(p)  # the plan at lam_hi, where every item sits at 0
+    curv = np.empty_like(p)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if lam_hi - lam_lo <= tol * scale:
+        if lam_hi - lam_lo <= tol * lam_hi:
             converged = True
             break
-        lam = 0.5 * (lam_lo + lam_hi)
-        q = _coords_for_lambda(p, lam, k, cap)
+        if not lam_lo < lam < lam_hi:
+            lam = math.sqrt(lam_lo) * math.sqrt(lam_hi)
+        _newton_coords(p, lam, k, cap, curv0, q, curv)
         total = float(q.sum())
         # Accept only from the feasible side so sum(q) <= 1 always holds.
         if 1.0 - tol <= total <= 1.0:
@@ -117,8 +177,20 @@ def waterfill(p, k, cap, tol, max_iter):
             lam_lo = lam
         else:
             lam_hi = lam
-    q = _coords_for_lambda(p, lam_hi, k, cap)
-    return q, lam_hi, iterations, converged
+            np.copyto(q_hi, q)
+        # The Newton step is taken in log(lam), with dS/dlog(lam) = lam dS/dlam:
+        # it then spans decades of lam when the weights do, where a step in lam
+        # itself lands on the far side of the bracket.  exp overflows past 709,
+        # and a step that long leaves the bracket anyway.  A step below lam's
+        # resolution moves lam to the neighbouring float instead, unless
+        # dS/dlam overflowed (weights near 1e-308), which leaves no step at all.
+        with np.errstate(over="ignore"):
+            d_total = float(np.sum(1.0 / curv))
+        step = lam * math.expm1(min((target - total) / d_total / lam, 700.0))
+        if lam + step == lam and d_total > -math.inf:
+            step = math.nextafter(lam, lam_hi if total > 1.0 else lam_lo) - lam
+        lam += step
+    return q_hi, lam_hi, iterations, converged
 
 
 def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
@@ -258,20 +330,27 @@ def _certified(p: Prior, q: np.ndarray, t: int) -> AmplitudePlan:
     return AmplitudePlan(q=plan.q, t=t, meta=meta)
 
 
-def plan_to_json(p: Prior, plan: AmplitudePlan) -> str:
-    """Serialize a plan with its ESP and KKT residual under the given prior."""
+def plan_to_json(p: Prior, plan: AmplitudePlan, certificate=None) -> str:
+    """Serialize a plan with its ESP and KKT residual under the given prior.
+
+    ``certificate``, when given, is that pair already computed under ``p``
+    (the ``meta`` of a plan that :func:`optimize` solved for ``p``); it is
+    written as it is instead of being computed a second time.
+    """
+    if certificate is None:
+        certificate = {"esp": esp(p, plan), "kkt_residual": kkt_residual(p, plan)}
     payload = {
         "t": plan.t,
         "q": [float(x) for x in plan.q],
-        "esp": esp(p, plan),
-        "kkt_residual": kkt_residual(p, plan),
+        "esp": certificate["esp"],
+        "kkt_residual": certificate["kkt_residual"],
     }
     return json.dumps(payload)
 
 
-def save_plan(p: Prior, plan: AmplitudePlan, path) -> None:
+def save_plan(p: Prior, plan: AmplitudePlan, path, certificate=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(plan_to_json(p, plan) + "\n")
+        fh.write(plan_to_json(p, plan, certificate) + "\n")
 
 
 def load_plan(path) -> AmplitudePlan:

@@ -38,6 +38,25 @@ def test_optimize_writes_plan(tmp_path, capsys):
     assert "kkt_residual" in captured
 
 
+def test_optimize_certifies_once(tmp_path, monkeypatch):
+    # The plan file carries the certificate optimize printed, not a recomputed one.
+    calls = {"esp": 0, "kkt_residual": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(qsearch.optimizer, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(qsearch.optimizer, name, counted)
+    prior = write_prior(tmp_path, qsearch.sample_random_prior(4096, 3))
+    out = tmp_path / "plan.json"
+    assert cli.main(["optimize", "--prior", str(prior), "--t", "2", "--out", str(out)]) == 0
+    assert calls == {"esp": 1, "kkt_residual": 1}
+    # the same bytes as the writer certifying the plan under the prior itself
+    p = qsearch.load_prior(prior)
+    assert out.read_text() == qsearch.plan_to_json(p, qsearch.load_plan(out)) + "\n"
+
+
 def test_optimize_missing_prior(tmp_path):
     code = cli.main(
         ["optimize", "--prior", str(tmp_path / "nope.json"), "--t", "1", "--out", str(tmp_path / "o")]

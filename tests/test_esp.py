@@ -18,7 +18,7 @@ from qsearch import (
     top_k_mass,
     uniform_plan,
 )
-from qsearch.esp import cap, marginal, slope
+from qsearch.esp import cap, marginal, slope, slope_and_curvature
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 UNIFORM8 = new_prior(np.ones(8))
@@ -217,3 +217,40 @@ def test_marginal_face_values():
     assert abs(out[3]) < 1e-12
     # at t = 0 the curve is the identity, slope 1 up to q = 1
     assert marginal(np.array([0.0, 0.5, 1.0]), 0).tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 10, 22, 64])
+def test_curvature_is_the_derivative_of_slope(t):
+    # g'' against a central difference of g', from deep in the series branch
+    # (k^2 q < 1e-5) up to just below the cap.
+    k, c = 2 * t + 1, cap(t)
+    q = np.geomspace(1e-7, 0.999, 60) * c
+    h = np.minimum(0.5 * np.minimum(q, c - q), 1e-5 * c)
+    central = (slope(q + h, k) - slope(q - h, k)) / (2.0 * h)
+    g1, g2 = slope_and_curvature(q, k)
+    assert g2 == pytest.approx(central, rel=1e-7)
+    assert g1.tolist() == slope(q, k).tolist()
+
+
+def test_curvature_is_negative_up_to_the_cap():
+    # the strict concavity of g on [0, cap(t)] that the water-fill relies on
+    for t in range(1, 65):
+        k, c = 2 * t + 1, cap(t)
+        q = np.concatenate([[0.0], np.geomspace(1e-300, c, 300), np.linspace(0.0, c, 2001)])
+        _, g2 = slope_and_curvature(q, k)
+        assert float(g2.max()) < 0.0, t
+    # at t = 1: -48 at q = 0, rising to -24 at the cap
+    _, g2 = slope_and_curvature(np.array([0.0, cap(1)]), 3)
+    assert g2.tolist() == pytest.approx([-48.0, -24.0], rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 22, 64])
+def test_curvature_limit_at_zero(t):
+    k = 2 * t + 1
+    g1, g2 = slope_and_curvature(np.array([0.0]), k)
+    assert g1[0] == k * k
+    assert g2[0] == -2.0 * k * k * (k * k - 1) / 3.0
+    # the series and the closed form meet where the branch switches
+    edge = 1e-5 / (k * k)
+    _, (below, above) = slope_and_curvature(np.array([edge * (1 - 1e-12), edge * (1 + 1e-12)]), k)
+    assert below == pytest.approx(above, rel=1e-10)

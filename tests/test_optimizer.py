@@ -24,6 +24,7 @@ from qsearch import (
     top_k_mass,
 )
 from qsearch import optimizer
+from qsearch.esp import marginal, slope
 from qsearch.optimizer import kernel_backend, waterfill
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
@@ -358,9 +359,12 @@ def test_waterfill_iteration_cap_reports_nonconvergence():
 def test_waterfill_zero_tolerance_never_accepted():
     # a too-tight tolerance must surface as converged=False, not a bad plan
     w, k, c = binding_case(7, 1)
-    q, _, _, converged = waterfill(w, k, c, 1e-300, 5)
+    q, _, _, converged = waterfill(w, k, c, 1e-300, 3)
     assert not converged
     assert float(np.sum(q)) <= 1.0
+    # given time, the only sum the window [1 - 1e-300, 1] accepts is 1.0 itself
+    q, _, _, converged = waterfill(w, k, c, 1e-300, 200)
+    assert float(np.sum(q)) == 1.0 if converged else float(np.sum(q)) <= 1.0
 
 
 EXTREME_PRIORS = {
@@ -382,3 +386,81 @@ def test_extreme_priors_give_certified_plans(name, t):
     assert float(q.sum()) <= 1.0 + 1e-12
     assert plan.meta["esp"] == esp(p, plan)
     assert plan.meta["kkt_residual"] <= 1e-9
+
+
+def reference_plan(w, t):
+    """Nested bisection, geometric on lam outside and plain per coordinate inside."""
+    k, c = 2 * t + 1, cap(t)
+
+    def coords(lam):
+        lo, hi = np.zeros(w.size), np.full(w.size, c)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            up = w * slope(mid, k) > lam
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return np.where(w * k * k > lam, 0.5 * (lo + hi), 0.0)
+
+    if w.size * c <= 1.0:
+        return np.full(w.size, c)
+    # sum(q) is about w.size * c > 1 at the low end and 0 at the high end
+    lam_lo, lam_hi = float(w.min()) * k * k * 1e-12, float(w.max()) * k * k
+    while lam_lo < (lam := math.sqrt(lam_lo) * math.sqrt(lam_hi)) < lam_hi:
+        if coords(lam).sum() > 1.0:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+    return coords(lam_hi)
+
+
+def duality_gap(w, q, t):
+    """Weak-duality bound on the optimal ESP minus the ESP of q.
+
+    For any lam >= 0 the optimum is at most lam + sum_i max_{0<=r<=cap} of
+    w_i g(r) - lam r, and each of these concave maxima is at most its tangent
+    line at q_i, maximised over the endpoints.  What is left after the ESP of
+    q is subtracted is convex and piecewise linear in lam, so it is smallest
+    at lam = 0 or at a breakpoint lam = w_i g'(q_i).
+    """
+    c = cap(t)
+    m = w * marginal(q, t)
+    lam = np.append(m[m > 0.0], 0.0)[:, None]
+    d = m - lam
+    gaps = lam[:, 0] * (1.0 - q.sum()) + np.maximum(-d * q, d * (c - q)).sum(axis=1)
+    return float(gaps.min())
+
+
+@given(
+    st.integers(2, 600),
+    st.integers(1, 22),
+    st.sampled_from(["uniform", "near-tied", "tiny", "geometric"]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_waterfill_agrees_with_nested_bisection(n, t, kind, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "uniform":
+        w = rng.random(n) + 1e-3
+    elif kind == "near-tied":
+        w = 1.0 + 1e-12 * rng.random(n)
+    elif kind == "tiny":
+        w = np.where(rng.random(n) < 0.5, 1e-300, rng.random(n) + 1e-3)
+    else:
+        w = rng.permutation(np.geomspace(1.0, 10.0 ** -int(rng.integers(1, 300)), n))
+    p = new_prior(w)
+    plan = optimize(p, t)
+    reference = AmplitudePlan(q=reference_plan(p.weights, t), t=t)
+    assert np.abs(plan.q - reference.q).max() <= 1e-9
+    assert esp(p, plan) >= esp(p, reference) - 1e-14
+    assert duality_gap(p.weights, plan.q, t) <= 1e-14
+
+
+def test_waterfill_outer_iterations_stay_newton_fast():
+    # A safeguard that quietly fell back to bisection would need about 40.
+    for s in range(10):
+        w = sample_random_prior(512, 42 ^ s).weights
+        for t in range(1, 18):
+            _, _, iterations, converged = waterfill(
+                w[w > 0.0], float(2 * t + 1), cap(t), optimizer._TOL, optimizer._MAX_ITER
+            )
+            assert converged
+            assert iterations <= 15, (s, t, iterations)
