@@ -94,19 +94,18 @@ def _ascend(w: np.ndarray, r0: np.ndarray, t: int):
     for _ in range(_MAX_ASCENT_STEPS):
         # No gain from pushing a coordinate past saturation.
         grad = np.where(r < c, w * marginal(r, t), 0.0)
-        if float(np.linalg.norm(_project(r + grad) - r)) < _CONVERGENCE_TOL:
+        # The full step's projection is both the convergence test and the first candidate.
+        candidate = _project(r + grad)
+        if float(np.linalg.norm(candidate - r)) < _CONVERGENCE_TOL:
             break
-        step = 1.0
-        improved = False
-        for _ in range(60):
-            candidate = _project(r + step * grad)
+        for halvings in range(60):
+            if halvings:
+                candidate = _project(r + 0.5**halvings * grad)
             cand_value = _objective(w, candidate, k)
             if cand_value > value:
                 r, value = candidate, cand_value
-                improved = True
                 break
-            step *= 0.5
-        if not improved:
+        else:
             break
     return value, r
 
@@ -239,29 +238,19 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     arcs = np.arcsin(np.sqrt(grid))  # (g, n)
     g = grid.shape[0]
 
-    # unrestricted enumeration over the m-fold product, chunked on the first
-    # step so the broadcast temporaries stay small
-    best_value = -1.0
-    best_index = None
-    if m == 1:
-        totals = _clamped(arcs) @ w
-        best_flat = int(np.argmax(totals))
-        best_value = float(totals[best_flat])
-        best_index = (best_flat,)
-    elif m == 2:
-        sums = arcs[:, None, :] + arcs[None, :, :]
+    # Unrestricted enumeration over the m-fold product, one chunk per first
+    # step so the broadcast temporaries stay small.  Steps are added in order
+    # and the first of equal totals wins.  At m = 1 the one chunk holds every
+    # grid point: a row-by-row dot product rounds differently from the
+    # matrix-vector product, and near-ties would pick another achiever.
+    best_value, best_flat = -1.0, 0
+    for a, sums in enumerate(arcs if m > 1 else arcs[None]):
+        for _ in range(m - 1):
+            sums = sums[..., None, :] + arcs
         totals = _clamped(sums) @ w
         flat = int(np.argmax(totals))
-        best_value = float(totals.flat[flat])
-        best_index = (flat // g, flat % g)
-    else:
-        for a in range(g):
-            sums = arcs[a][None, None, :] + arcs[:, None, :] + arcs[None, :, :]
-            totals = _clamped(sums) @ w
-            flat = int(np.argmax(totals))
-            if float(totals.flat[flat]) > best_value:
-                best_value = float(totals.flat[flat])
-                best_index = (a, flat // g, flat % g)
+        if float(totals.flat[flat]) > best_value:
+            best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
 
     # equal-allocation restriction: the diagonal of the same product
     equal_totals = _clamped(m * arcs) @ w
@@ -270,7 +259,7 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     equal_alloc = np.tile(grid[equal_best], (m, 1))
     eq_value, eq_alloc = _refine_transfers(w, equal_alloc, grid_step, tied=True)
 
-    raw_alloc = grid[list(best_index)]
+    raw_alloc = grid[list(np.unravel_index(best_flat, (g,) * m))]
     un_value, un_alloc = _refine_transfers(w, raw_alloc, grid_step, tied=False)
     # the refined equal point is a valid unrestricted candidate as well
     alt_value, alt_alloc = _refine_transfers(w, eq_alloc, grid_step, tied=False)

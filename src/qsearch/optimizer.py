@@ -18,8 +18,11 @@ monotone bracket that a bisection would, and bisects only when a Newton step
 leaves it, so it needs no line search or step-size tuning (the standard
 treatment of water-filling: Palomar and Fonollosa, IEEE Trans. Signal
 Processing 53(2), 2005; Boyd and Vandenberghe, Convex Optimization, 5.5.3).
-The t = 1 closed form's single bisection is kept as an independent
-cross-check.
+The t = 1 closed form bisects instead, as an independent cross-check.  Both
+fills take (weights, t), start from one bracket, :func:`_bracket`, fall back
+on one :func:`_midpoint`, report the same multiplier lam >= 0 and stop by one
+rule: in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no float lies
+inside the bracket.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ __all__ = [
 # bound-active when checking the KKT conditions.
 _FACE_TOL = 1e-11
 
-# Outer multiplier search (water-fill and closed form): relative tolerance on
-# the multiplier bracket and on |sum(q) - 1|, and the iteration cap.
+# Both multiplier searches: the accepted window 1 - _TOL <= sum(q) <= 1 and
+# the iteration cap.
 _TOL = 1e-14
 _MAX_ITER = 200
 
@@ -125,53 +128,68 @@ def _first_level(p, k, curv0):
     return float(levels[fits[-1]]) if fits.size else math.inf
 
 
-def waterfill(p, k, cap, tol, max_iter):
-    """Budget-binding water-fill over strictly positive weights.
+def _bracket(w, t):
+    """The multiplier bracket (lam_lo, lam_hi) that both fills start from.
 
-    Arguments:
-        p: 1-D float64 array of strictly positive weights (need not sum to 1).
-        k: 2t + 1 for query budget t >= 1.
-        cap: per-coordinate upper bound sin^2(pi / (2k)).
-        tol: tolerance on the multiplier bracket, relative to its upper end;
-            an iterate with 1 - tol <= sum(q) <= 1 is accepted early.
-        max_iter: outer iteration cap.
+    At lam_hi = k^2 max(w) every item sits at 0, so S(lam_hi) = 0.  Every
+    q_i(lam) >= q0 = (1/n + cap) / 2 once lam <= min(w) g'(q0), and n q0 > 1
+    when the budget binds, so S(lam_lo) > 1 (lam_lo is floored at the
+    smallest float to stay positive).
+    """
+    k = 2 * t + 1
+    q0 = 0.5 * (1.0 / w.size + cap(t))
+    return max(float(w.min()) * float(slope(q0, k)), math.ulp(0.0)), float(w.max()) * k * k
 
-    Returns (q, lam, iterations, converged).  Caller guarantees
-    len(p) * cap > 1, i.e. the budget constraint is active, so the multiplier
-    lam lies in (0, k^2 * max(p)).  S(lam) = sum(q(lam)) is non-increasing in
-    lam, and the bracket [lam_lo, lam_hi] keeps S(lam_lo) > 1 >= S(lam_hi).
-    From :func:`_first_level` each step is Newton on S = 1 - tol/2, the middle
-    of the accepted window, with dS/dlam = sum(1 / (p_i g''(q_i))) over the
-    coordinates inside (0, cap); aimed at 1 itself, it would approach from the
-    infeasible side, which is never accepted.  A step that leaves the bracket
-    is replaced by the bracket's geometric mean.  Otherwise the plan returned
-    is the one evaluated at lam_hi, whose sum(q) <= 1, so the result is always
-    feasible.
+
+def _midpoint(lam_lo, lam_hi):
+    """A multiplier strictly inside a bracket that holds at least one float.
+
+    Geometric while lam_hi > 2 lam_lo, so a bracket spanning decades shrinks
+    by decades; then arithmetic, as a geometric mean can round onto an end.
+    """
+    if lam_hi > 2.0 * lam_lo:
+        return math.sqrt(lam_lo) * math.sqrt(lam_hi)
+    return 0.5 * (lam_lo + lam_hi)
+
+
+def waterfill(p, t):
+    """Budget-binding water-fill over strictly positive weights at budget t >= 1.
+
+    Returns (q, lam, iterations, converged) with p_i g'(q_i) = lam >= 0 on
+    every coordinate inside (0, cap); the caller guarantees len(p) cap(t) > 1.
+    S(lam) = sum(q(lam)) is non-increasing, and the bracket from
+    :func:`_bracket` keeps S(lam_lo) > 1 >= S(lam_hi).  From
+    :func:`_first_level` each step is Newton on S = 1 - _TOL/2, the middle of
+    the accepted window 1 - _TOL <= S <= 1, with dS/dlam = sum(1 / (p_i
+    g''(q_i))) over the coordinates inside (0, cap); aimed at 1 itself it
+    would approach from the infeasible side.  A step that leaves the bracket
+    goes to :func:`_midpoint`.  The loop also stops, with converged=True,
+    once no float lies strictly between lam_lo and lam_hi, and returns the
+    plan at lam_hi: its sum(q) <= 1 may then sit just below the window (tied
+    weights round alike).  After _MAX_ITER iterations it returns that plan
+    with converged=False.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
+    k = float(2 * t + 1)
+    c = cap(t)
     curv0 = float(slope_and_curvature(np.zeros(1), k)[1][0])
-    lam_hi = float(p.max()) * k * k
-    # Every q_i(lam) >= q0 once lam <= min(p) g'(q0), and len(p) * q0 > 1, so
-    # S(lam_lo) > 1 (floored at the smallest float to keep lam_lo positive).
-    q0 = 0.5 * (1.0 / p.size + cap)
-    lam_lo = max(float(p.min()) * float(slope(q0, k)), math.ulp(0.0))
+    lam_lo, lam_hi = _bracket(p, t)
     lam = _first_level(p, k, curv0)
-    target = 1.0 - 0.5 * tol
+    target = 1.0 - 0.5 * _TOL
     q = np.zeros_like(p)
     q_hi = np.zeros_like(p)  # the plan at lam_hi, where every item sits at 0
     curv = np.empty_like(p)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if lam_hi - lam_lo <= tol * lam_hi:
+    for iterations in range(1, _MAX_ITER + 1):
+        if math.nextafter(lam_lo, lam_hi) >= lam_hi:
             converged = True
             break
         if not lam_lo < lam < lam_hi:
-            lam = math.sqrt(lam_lo) * math.sqrt(lam_hi)
-        _newton_coords(p, lam, k, cap, curv0, q, curv)
+            lam = _midpoint(lam_lo, lam_hi)
+        _newton_coords(p, lam, k, c, curv0, q, curv)
         total = float(q.sum())
-        # Accept only from the feasible side so sum(q) <= 1 always holds.
-        if 1.0 - tol <= total <= 1.0:
+        if 1.0 - _TOL <= total <= 1.0:
             return q, lam, iterations, True
         if total > 1.0:
             lam_lo = lam
@@ -199,7 +217,7 @@ def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
     Zero-weight items are pinned to q = 0 (amplitude there is wasted and only
     degrades the KKT system).  If the caps of the remaining items fit inside
     the unit budget the multiplier is 0 and every supported item saturates.
-    Otherwise the budget binds and ``fill(weights[support])`` returns
+    Otherwise the budget binds and ``fill(weights[support], t)`` returns
     (q, lam, iterations, converged); a solve that missed its tolerance raises
     NumericalFailure with the iteration count, the multiplier and the last
     |sum(q) - 1|.
@@ -211,7 +229,7 @@ def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
     if int(support.sum()) * c <= 1.0:
         q[support] = c
         return _certified(p, q, t)
-    q_pos, lam, iterations, converged = fill(w[support])
+    q_pos, lam, iterations, converged = fill(w[support], t)
     if not converged:
         gap = abs(float(np.sum(q_pos)) - 1.0)
         raise NumericalFailure(
@@ -234,53 +252,43 @@ def optimize(p: Prior, t: int) -> AmplitudePlan:
         q = np.zeros(p.n)
         q[int(np.argmax(p.weights))] = 1.0
         return _certified(p, q, 0)
-    # waterfill is looked up at call time, so a wrapper on the module attribute sees it.
-    return _solve(p, t, lambda ws: waterfill(ws, float(2 * t + 1), cap(t), _TOL, _MAX_ITER))
+    return _solve(p, t, waterfill)
 
 
 def optimize_t1_closed_form(p: Prior) -> AmplitudePlan:
     """Single-query optimum through the explicit multiplier formula.
 
-    At t = 1 the stationarity condition p_i (48 q_i^2 - 48 q_i + 9) = -lam
-    inverts in closed form to q_i = 1/2 - sqrt(1/16 - lam/(48 p_i)), so only
-    one bisection (over lam <= 0) is needed to hit sum(q) = 1.  The pinning,
-    the slack case (at most four supported items, where the success
-    probability reaches 1 outright) and the failure report are
-    :func:`_solve`'s, shared with :func:`optimize`.  Agrees with
-    :func:`optimize` at t = 1 to solver tolerance; kept as an independent
-    route for cross-checking.
+    At t = 1, g'(q) = 48 q^2 - 48 q + 9, so p_i g'(q_i) = lam >= 0 inverts to
+    q_i = max(0, 1/2 - sqrt(1/16 + lam / (48 p_i))): cap(1) = 1/4 at lam = 0
+    and 0 from lam = 9 p_i on.  The fill keeps :func:`waterfill`'s contract
+    (its bracket from :func:`_bracket`, its lam and its stopping rule) but
+    bisects at :func:`_midpoint`.  The pinning, the slack case (at most four
+    supported items, where the success probability reaches 1 outright) and
+    the failure report are :func:`_solve`'s.  Agrees with :func:`optimize` at
+    t = 1 to solver tolerance; kept as an independent route for cross-checking.
     """
 
-    def fill(ws: np.ndarray):
-        def coords(lam: float) -> np.ndarray:
-            radicand = 1.0 / 16.0 - lam / (48.0 * ws)
-            qs = 0.5 - np.sqrt(np.maximum(radicand, 0.0))
-            return np.clip(qs, 0.0, 0.25)
+    def fill(w, t):
+        def coords(lam):
+            return np.maximum(0.5 - np.sqrt(1.0 / 16.0 + lam / (48.0 * w)), 0.0)
 
-        # sum(q(lam)) grows monotonically from 0 at lam = -9 max(p) (every
-        # coordinate clamped to 0) to 0.25 * support > 1 at lam = 0.
-        lam_lo = -9.0 * float(ws.max())
-        lam_hi = 0.0
-        scale = -lam_lo
+        lam_lo, lam_hi = _bracket(w, t)
         converged = False
         iterations = 0
         for iterations in range(1, _MAX_ITER + 1):
-            if lam_hi - lam_lo <= _TOL * scale:
+            if math.nextafter(lam_lo, lam_hi) >= lam_hi:
                 converged = True
                 break
-            lam = 0.5 * (lam_lo + lam_hi)
-            total = float(coords(lam).sum())
-            # Accept only from the feasible side so sum(q) <= 1 always holds.
+            lam = _midpoint(lam_lo, lam_hi)
+            q = coords(lam)
+            total = float(q.sum())
             if 1.0 - _TOL <= total <= 1.0:
-                lam_lo = lam
-                converged = True
-                break
+                return q, lam, iterations, True
             if total > 1.0:
-                lam_hi = lam
-            else:
                 lam_lo = lam
-        # The lam_lo endpoint has sum(q) <= 1, keeping the plan feasible.
-        return coords(lam_lo), lam_lo, iterations, converged
+            else:
+                lam_hi = lam
+        return coords(lam_hi), lam_hi, iterations, converged
 
     return _solve(p, 1, fill)
 
@@ -335,13 +343,13 @@ def plan_to_json(p: Prior, plan: AmplitudePlan, certificate=None) -> str:
 
     ``certificate``, when given, is that pair already computed under ``p``
     (the ``meta`` of a plan that :func:`optimize` solved for ``p``); it is
-    written as it is instead of being computed a second time.
+    written as it is.  Without one, :func:`_certified` builds it.
     """
     if certificate is None:
-        certificate = {"esp": esp(p, plan), "kkt_residual": kkt_residual(p, plan)}
+        certificate = _certified(p, plan.q, plan.t).meta
     payload = {
         "t": plan.t,
-        "q": [float(x) for x in plan.q],
+        "q": plan.q.tolist(),
         "esp": certificate["esp"],
         "kkt_residual": certificate["kkt_residual"],
     }

@@ -151,8 +151,8 @@ def test_budget_slack_branch():
 def test_nonconvergence_raises(monkeypatch):
     lam = 0.012345678901234567
 
-    def stalled(w, k, c, tol, max_iter):
-        return np.full(w.size, 0.5 / w.size), lam, max_iter, False
+    def stalled(w, t):
+        return np.full(w.size, 0.5 / w.size), lam, optimizer._MAX_ITER, False
 
     monkeypatch.setattr(optimizer, "waterfill", stalled)
     with pytest.raises(NumericalFailure) as info:
@@ -169,7 +169,8 @@ def test_closed_form_nonconvergence_raises(monkeypatch):
         optimize_t1_closed_form(sample_random_prior(32, 4))
     message = str(info.value)
     assert "after 1 iterations" in message
-    assert "at lam = -" in message
+    # Both fills report the same multiplier, p_i g'(q_i) = lam > 0.
+    assert float(message.split("at lam = ")[1].split()[0]) > 0.0
     assert "|sum(q)-1| = " in message
 
 
@@ -335,7 +336,7 @@ def binding_case(seed, t):
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_waterfill_solution_is_feasible_and_stationary(t):
     w, k, c = binding_case(11 + t, t)
-    q, lam, _, converged = waterfill(w, k, c, 1e-12, 200)
+    q, lam, _, converged = waterfill(w, t)
     assert converged
     assert 1.0 - 1e-9 <= float(np.sum(q)) <= 1.0
     assert float(np.min(q)) >= 0.0
@@ -348,22 +349,26 @@ def test_waterfill_solution_is_feasible_and_stationary(t):
     assert float(np.abs(marg - lam).max()) <= 1e-6 * lam
 
 
-def test_waterfill_iteration_cap_reports_nonconvergence():
+def test_waterfill_iteration_cap_reports_nonconvergence(monkeypatch):
     w, k, c = binding_case(99, 1)
-    q, lam, iterations, converged = waterfill(w, k, c, 1e-12, 1)
+    monkeypatch.setattr(optimizer, "_MAX_ITER", 1)
+    q, lam, iterations, converged = waterfill(w, 1)
     assert not converged
     assert iterations == 1
     assert float(np.sum(q)) <= 1.0
 
 
-def test_waterfill_zero_tolerance_never_accepted():
+def test_waterfill_zero_tolerance_never_accepted(monkeypatch):
     # a too-tight tolerance must surface as converged=False, not a bad plan
     w, k, c = binding_case(7, 1)
-    q, _, _, converged = waterfill(w, k, c, 1e-300, 3)
+    monkeypatch.setattr(optimizer, "_TOL", 1e-300)
+    monkeypatch.setattr(optimizer, "_MAX_ITER", 3)
+    q, _, _, converged = waterfill(w, 1)
     assert not converged
     assert float(np.sum(q)) <= 1.0
     # given time, the only sum the window [1 - 1e-300, 1] accepts is 1.0 itself
-    q, _, _, converged = waterfill(w, k, c, 1e-300, 200)
+    monkeypatch.setattr(optimizer, "_MAX_ITER", 200)
+    q, _, _, converged = waterfill(w, 1)
     assert float(np.sum(q)) == 1.0 if converged else float(np.sum(q)) <= 1.0
 
 
@@ -372,6 +377,7 @@ EXTREME_PRIORS = {
     "single": [1.0],
     "ties": np.ones(512),
     "one-heavy": np.r_[1.0, np.full(511, 1e-300)],
+    "tiny-tail": [1.0, 1.0, 1.0] + [1e-20] * 20,
 }
 
 
@@ -386,6 +392,24 @@ def test_extreme_priors_give_certified_plans(name, t):
     assert float(q.sum()) <= 1.0 + 1e-12
     assert plan.meta["esp"] == esp(p, plan)
     assert plan.meta["kkt_residual"] <= 1e-9
+    if t == 1:
+        # Weights spanning decades put the water level far below k^2 max(p);
+        # the closed form's bisection must still spend the budget.
+        closed = optimize_t1_closed_form(p).q
+        assert np.abs(closed - q).max() <= 1e-9
+        if p.n * cap(1) > 1.0:
+            assert float(closed.sum()) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n, t", [(65536, 4), (14330, 2), (2211, 4)])
+def test_waterfill_converges_on_tied_weights(n, t):
+    # Tied weights round alike: the bracket closes to neighbouring floats with
+    # sum(q) just below the window, and that plan is the converged one.  At
+    # n=2211, t=4 the bracket reaches two floats wide, where its geometric
+    # mean rounds onto the lower end.
+    q, _, _, converged = waterfill(np.full(n, 1.0 / n), t)
+    assert converged
+    assert 1.0 - 1e-12 <= float(q.sum()) <= 1.0
 
 
 def reference_plan(w, t):
@@ -459,8 +483,6 @@ def test_waterfill_outer_iterations_stay_newton_fast():
     for s in range(10):
         w = sample_random_prior(512, 42 ^ s).weights
         for t in range(1, 18):
-            _, _, iterations, converged = waterfill(
-                w[w > 0.0], float(2 * t + 1), cap(t), optimizer._TOL, optimizer._MAX_ITER
-            )
+            _, _, iterations, converged = waterfill(w[w > 0.0], t)
             assert converged
             assert iterations <= 15, (s, t, iterations)
