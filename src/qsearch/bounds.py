@@ -5,10 +5,13 @@ Two oracles, both deliberately ignorant of the water-filling solver:
 * an upper bound on any t-query strategy, maximized by projected gradient
   ascent over the uncapped simplex with the success curve clamped at 1 —
   agreement with the optimizer's ESP certifies that the per-item cap does
-  not reduce the attainable maximum;
+  not reduce the attainable maximum.  All seeds ascend together as one
+  (seeds x n) array, each row with its own line search and stopping rule;
 * an exhaustive grid search over per-step amplitude allocations, checking
   that letting every query use a different allocation never beats reusing
-  one fixed allocation by more than grid slack.
+  one fixed allocation by more than grid slack.  f^2 is evaluated once per
+  tuple of per-step grid levels, and every allocation sequence reads its
+  coordinates from that table.
 
 Desk-scale caps keep both exact-ish searches cheap: n <= 8 / t <= 3 for the
 ascent, n <= 3 / m <= 3 / step >= 0.02 for the grid.
@@ -65,49 +68,73 @@ def _clamped(angles: np.ndarray) -> np.ndarray:
     return np.where(angles >= _HALF_PI, 1.0, vals)
 
 
-def _objective(w: np.ndarray, r: np.ndarray, k: int) -> float:
-    """sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 with the clamp applied."""
-    angles = k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0)))
-    return float(w @ _clamped(angles))
+def _objective(w: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    """sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 with the clamp applied, per row of r.
+
+    One ``w @ row`` dot product per row: a matrix-vector product sums some
+    rows in another order, so the bound's bits would depend on the batch.
+    """
+    vals = _clamped(k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0))))
+    return np.array([w @ row for row in vals])
 
 
 def _project(r: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {r >= 0, sum r <= 1}."""
+    """Euclidean projection of each row onto {r >= 0, sum r <= 1}."""
     r = np.minimum(r, 1.0)
     clipped = np.maximum(r, 0.0)
-    if float(clipped.sum()) <= 1.0:
+    inside = clipped.sum(axis=1) <= 1.0
+    if inside.all():
         return clipped
-    # sort-based simplex projection (sum == 1 once the budget binds)
-    u = np.sort(r)[::-1]
-    css = np.cumsum(u) - 1.0
-    ranks = np.arange(1, r.size + 1)
-    rho = np.nonzero(u - css / ranks > 0.0)[0][-1]
-    shift = css[rho] / float(rho + 1)
-    return np.maximum(r - shift, 0.0)
+    # sort-based simplex projection (Duchi et al., ICML 2008; sum == 1 once
+    # the budget binds), with rho the last rank whose shifted entry stays positive
+    u = np.sort(r, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    ranks = np.arange(1, r.shape[1] + 1)
+    rho = r.shape[1] - 1 - np.argmax((u - css / ranks > 0.0)[:, ::-1], axis=1)
+    shift = css[np.arange(r.shape[0]), rho] / (rho + 1.0)
+    return np.where(inside[:, None], clipped, np.maximum(r - shift[:, None], 0.0))
 
 
 def _ascend(w: np.ndarray, r0: np.ndarray, t: int):
+    """Backtracking projected ascent from every row of r0 at once: (values, rows).
+
+    A row stops when its full step's projection moves it less than
+    _CONVERGENCE_TOL, when 60 halvings of its step gain nothing, or after
+    _MAX_ASCENT_STEPS steps.
+    """
     k = 2 * t + 1
     c = cap(t)
     r = _project(np.asarray(r0, dtype=np.float64))
     value = _objective(w, r, k)
+    live = np.arange(r.shape[0])
     for _ in range(_MAX_ASCENT_STEPS):
+        rows = r[live]
         # No gain from pushing a coordinate past saturation.
-        grad = np.where(r < c, w * marginal(r, t), 0.0)
+        grad = np.where(rows < c, w * marginal(rows, t), 0.0)
         # The full step's projection is both the convergence test and the first candidate.
-        candidate = _project(r + grad)
-        if float(np.linalg.norm(candidate - r)) < _CONVERGENCE_TOL:
-            break
+        candidate = _project(rows + grad)
+        moving = ~np.array(
+            [float(np.linalg.norm(d)) < _CONVERGENCE_TOL for d in candidate - rows], dtype=bool
+        )
+        live, rows, grad, candidate = live[moving], rows[moving], grad[moving], candidate[moving]
+        # Rows still searching for an ascent step, as indices into live.
+        pending = np.arange(live.size)
         for halvings in range(60):
-            if halvings:
-                candidate = _project(r + 0.5**halvings * grad)
-            cand_value = _objective(w, candidate, k)
-            if cand_value > value:
-                r, value = candidate, cand_value
+            if not pending.size:
                 break
-        else:
+            if halvings:
+                candidate[pending] = _project(rows[pending] + 0.5**halvings * grad[pending])
+            cand_value = _objective(w, candidate[pending], k)
+            up = cand_value > value[live[pending]]
+            accepted = pending[up]
+            r[live[accepted]] = candidate[accepted]
+            value[live[accepted]] = cand_value[up]
+            pending = pending[~up]
+        # a row whose 60 halvings all failed is done
+        live = np.delete(live, pending)
+        if not live.size:
             break
-    return value, r
+    return value.tolist(), r
 
 
 def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
@@ -145,8 +172,7 @@ def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
 
     best_value = -1.0
     best_r = None
-    for seed in seeds:
-        value, r = _ascend(w, seed, t)
+    for value, r in zip(*_ascend(w, np.asarray(seeds), t)):
         if value > best_value or (
             value == best_value and tuple(r) < tuple(best_r)
         ):
@@ -164,12 +190,49 @@ def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
 
 
 def _simplex_grid(n: int, steps: int) -> np.ndarray:
-    """All length-n compositions of ``steps`` parts, scaled to sum to 1."""
-    points = []
-    for combo in itertools.combinations_with_replacement(range(n), steps):
-        counts = np.bincount(np.asarray(combo), minlength=n)
-        points.append(counts / float(steps))
-    return np.asarray(points)
+    """All length-n compositions of ``steps`` parts, as integer levels."""
+    return np.asarray(
+        [
+            np.bincount(np.asarray(combo), minlength=n)
+            for combo in itertools.combinations_with_replacement(range(n), steps)
+        ]
+    )
+
+
+def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: int):
+    """Best sequence of m grid points, as (value, flat index into the (g,)*m product).
+
+    f^2 is evaluated once per tuple of levels, on a (steps + 1,)*m table of
+    the steps' arcs added in order; each chunk (one per first step, or all
+    grid points at m = 1) gathers its coordinates from it.  Totals are one
+    matrix-vector product per chunk and the first of equal totals wins, so
+    among totals tied in exact arithmetic the achiever follows the product's
+    rounding.  A per-row dot product would pick another achiever; the product
+    stays so that the reported bits stay.
+    """
+    size = int(levels.max()) + 1
+    level_arc = np.zeros(size)
+    level_arc[levels] = arcs
+    table = level_arc
+    for _ in range(m - 1):
+        table = table[..., None] + level_arc
+    table = _clamped(table)
+    if m == 1:
+        chunks = [(table, levels)]
+    else:
+        # flat offset of (coordinate, last m - 1 levels) within a first step's block
+        rest = np.arange(levels.shape[1])
+        for _ in range(m - 1):
+            rest = rest[..., None, :] * size + levels
+        table = table.reshape(size, -1)
+        chunks = ((table[first], rest) for first in levels)
+    best_value, best_flat = -1.0, 0
+    for a, (block, index) in enumerate(chunks):
+        totals = np.take(block, index) @ w
+        flat = int(np.argmax(totals))
+        if float(totals.flat[flat]) > best_value:
+            best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
+    return best_value, best_flat
 
 
 def _alloc_objective(w: np.ndarray, alloc: np.ndarray) -> float:
@@ -232,25 +295,12 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     if grid_step < 0.02:
         raise ResourceLimit(f"grid_step below the 0.02 floor: {grid_step!r}")
     w = p.weights
-    n = p.n
     steps = max(1, round(1.0 / grid_step))
-    grid = _simplex_grid(n, steps)
+    levels = _simplex_grid(p.n, steps)
+    grid = levels / float(steps)
     arcs = np.arcsin(np.sqrt(grid))  # (g, n)
     g = grid.shape[0]
-
-    # Unrestricted enumeration over the m-fold product, one chunk per first
-    # step so the broadcast temporaries stay small.  Steps are added in order
-    # and the first of equal totals wins.  At m = 1 the one chunk holds every
-    # grid point: a row-by-row dot product rounds differently from the
-    # matrix-vector product, and near-ties would pick another achiever.
-    best_value, best_flat = -1.0, 0
-    for a, sums in enumerate(arcs if m > 1 else arcs[None]):
-        for _ in range(m - 1):
-            sums = sums[..., None, :] + arcs
-        totals = _clamped(sums) @ w
-        flat = int(np.argmax(totals))
-        if float(totals.flat[flat]) > best_value:
-            best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
+    best_value, best_flat = _best_unrestricted(w, levels, arcs, m)
 
     # equal-allocation restriction: the diagonal of the same product
     equal_totals = _clamped(m * arcs) @ w
