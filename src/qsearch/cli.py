@@ -64,7 +64,7 @@ def _sample_methods(p: Prior, t_values) -> list:
         classical = top_k_mass(p, min(t, p.n))
         uniform = esp(p, uniform_plan(p.n, t))
         ranking = ranking_baseline(p, t).value
-        optimal = esp(p, optimize(p, t))
+        optimal = optimize(p, t).meta["esp"]
         rows.append((classical, uniform, ranking, optimal))
     return rows
 
@@ -214,7 +214,7 @@ def _check_robustness(args, rng) -> tuple:
         beta = 0.1 * float(rng.random())
         p_hat = new_prior((1.0 - beta) * p.weights + beta * other.weights)
         eps = l1_distance(p, p_hat)
-        exact = esp(p, optimize(p, t))
+        exact = optimize(p, t).meta["esp"]
         transferred = esp(p, AmplitudePlan(q=optimize(p_hat, t).q, t=t))
         slack = transferred - (exact - 2.0 * eps)
         worst = min(worst, slack)

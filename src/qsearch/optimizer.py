@@ -12,16 +12,22 @@ coordinates at the cap above it.
 One skeleton, :func:`_solve`, pins zero weights, saturates every item when
 the caps fit the budget, hands a binding budget to a fill, reports a fill
 that missed its tolerance and certifies the result.  Two fills plug into it.
-:func:`waterfill` runs safeguarded Newton twice over: on the multiplier
-outside, and per coordinate inside for each multiplier.  Each loop keeps the
-monotone bracket that a bisection would, and bisects only when a Newton step
-leaves it, so it needs no line search or step-size tuning (the standard
-treatment of water-filling: Palomar and Fonollosa, IEEE Trans. Signal
-Processing 53(2), 2005; Boyd and Vandenberghe, Convex Optimization, 5.5.3).
-The t = 1 closed form bisects instead, as an independent cross-check.  Both
-fills take (weights, t), start from one bracket, :func:`_bracket`, fall back
-on one :func:`_midpoint`, report the same multiplier lam >= 0 and stop by one
-rule: in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no float lies
+:func:`waterfill` runs a predictor and then a finisher.  The predictor is
+Newton on the KKT system in (q, lam) together, restricted to the active set
+(the primal-dual active-set method: Hintermueller, Ito and Kunisch, SIAM J.
+Optim. 13(3), 2002): one g'/g'' evaluation per step, a diagonal system with
+one border row, a fixed step cap.  The finisher is safeguarded Newton twice
+over, on the multiplier outside and per coordinate inside for each
+multiplier; it takes the predictor's (q, lam) as its warm start, or starts
+afresh when the predictor gives up.  Each finisher loop keeps the monotone
+bracket that a bisection would, and bisects only when a Newton step leaves
+it (the standard treatment of water-filling: Palomar and Fonollosa, IEEE
+Trans. Signal Processing 53(2), 2005; Boyd and Vandenberghe, Convex
+Optimization, 5.5.3), so the finisher alone decides convergence.  The t = 1
+closed form bisects instead, as an independent cross-check.  Both fills take
+(weights, t), start from one bracket, :func:`_bracket`, fall back on one
+:func:`_midpoint`, report the same multiplier lam >= 0 and stop by one rule:
+in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no float lies
 inside the bracket.
 """
 
@@ -55,6 +61,11 @@ _FACE_TOL = 1e-11
 # the iteration cap.
 _TOL = 1e-14
 _MAX_ITER = 200
+
+# The joint Newton predictor's step cap, and the largest coordinate step,
+# relative to cap(t), at which it hands its plan to the finisher.
+_PREDICT_STEPS = 15
+_PREDICT_TOL = 1e-7
 
 
 def kernel_backend() -> str:
@@ -152,36 +163,104 @@ def _midpoint(lam_lo, lam_hi):
     return 0.5 * (lam_lo + lam_hi)
 
 
+def _predict(p, lam, k, cap, lam_lo, lam_hi, q, steps):
+    """Joint Newton on p_i g'(q_i) = lam and sum(q) = 1 - _TOL/2, q set in place.
+
+    Each step linearises the system at (q, lam) on the active set p_i k^2 > lam
+    (the other items sit at 0).  With f_i = p_i g'(q_i) - lam and
+    c_i = p_i g''(q_i) < 0 the system is diagonal plus one border row:
+
+        dlam = (target - sum(q) + sum(f_i / c_i)) / sum(1 / c_i),
+        dq_i = (dlam - f_i) / c_i,
+
+    with q clipped to [0, cap]; one g'/g'' evaluation per step.  A multiplier
+    that leaves the bracket goes instead to :func:`_midpoint` of the current
+    multiplier and the end it crossed.  The coordinates start, and restart
+    after such a jump, where the chord of g' from (0, k^2) to (cap, 0) meets
+    lam / p_i: the chord is exact on both faces and holds across the decades
+    a jump can span, where a tangent taken at the last multiplier does not.
+    Returns (lam, steps taken) once a Newton step moves no coordinate by more
+    than _PREDICT_TOL cap, or (None, steps taken) when ``steps`` steps do not
+    get there.
+    """
+    target = 1.0 - 0.5 * _TOL
+    top = p * (k * k)  # p_i g'(0+): item i is active while lam is below it
+    chord = True
+    step = 0
+    for step in range(1, steps + 1):
+        active = top > lam
+        if chord:
+            q[:] = cap * np.maximum(1.0 - lam / top, 0.0)
+        else:
+            q[~active] = 0.0
+        idx = np.flatnonzero(active)
+        x = q[idx]
+        w = p[idx]
+        g1, g2 = slope_and_curvature(x, k)
+        f = w * g1 - lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = 1.0 / (w * g2)
+            d_lam = (target - float(x.sum()) + float(f @ r)) / float(r.sum())
+        if not math.isfinite(d_lam):
+            break
+        chord = not lam_lo < lam + d_lam < lam_hi
+        if chord:
+            lam = _midpoint(lam_lo, lam) if d_lam < 0.0 else _midpoint(lam, lam_hi)
+            continue
+        dq = (d_lam - f) * r
+        q[idx] = np.clip(x + dq, 0.0, cap)
+        lam += d_lam
+        if float(np.abs(dq).max()) <= _PREDICT_TOL * cap:
+            return lam, step
+    return None, step
+
+
 def waterfill(p, t):
     """Budget-binding water-fill over strictly positive weights at budget t >= 1.
 
     Returns (q, lam, iterations, converged) with p_i g'(q_i) = lam >= 0 on
     every coordinate inside (0, cap); the caller guarantees len(p) cap(t) > 1.
-    S(lam) = sum(q(lam)) is non-increasing, and the bracket from
-    :func:`_bracket` keeps S(lam_lo) > 1 >= S(lam_hi).  From
-    :func:`_first_level` each step is Newton on S = 1 - _TOL/2, the middle of
-    the accepted window 1 - _TOL <= S <= 1, with dS/dlam = sum(1 / (p_i
-    g''(q_i))) over the coordinates inside (0, cap); aimed at 1 itself it
-    would approach from the infeasible side.  A step that leaves the bracket
-    goes to :func:`_midpoint`.  The loop also stops, with converged=True,
-    once no float lies strictly between lam_lo and lam_hi, and returns the
-    plan at lam_hi: its sum(q) <= 1 may then sit just below the window (tied
-    weights round alike).  After _MAX_ITER iterations it returns that plan
-    with converged=False.
+    Both stages start from :func:`_first_level`, or from the bracket's
+    :func:`_midpoint` when no linearised level fits.
+
+    The predictor, :func:`_predict`, runs at most _PREDICT_STEPS joint Newton
+    steps.  If it converges, its (q, lam) is the finisher's warm start;
+    otherwise the finisher starts from q = 0 as if the predictor had not run.
+    _MAX_ITER bounds predictor steps and finisher iterations together, and
+    ``iterations`` counts both.
+
+    The finisher keeps the bracket from :func:`_bracket`, with
+    S(lam_lo) > 1 >= S(lam_hi) for the non-increasing S(lam) = sum(q(lam)).
+    Each iteration solves every coordinate at lam (:func:`_newton_coords`),
+    then takes a Newton step on S = 1 - _TOL/2, the middle of the accepted
+    window 1 - _TOL <= S <= 1, with dS/dlam = sum(1 / (p_i g''(q_i))) over
+    the coordinates inside (0, cap); aimed at 1 itself it would approach from
+    the infeasible side.  A step that leaves the bracket goes to
+    :func:`_midpoint`.  The loop also stops, with converged=True, once no
+    float lies strictly between lam_lo and lam_hi, and returns the plan at
+    lam_hi: its sum(q) <= 1 may then sit just below the window (tied weights
+    round alike).  Out of iterations, it returns that plan with
+    converged=False.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     k = float(2 * t + 1)
     c = cap(t)
     curv0 = float(slope_and_curvature(np.zeros(1), k)[1][0])
     lam_lo, lam_hi = _bracket(p, t)
-    lam = _first_level(p, k, curv0)
+    start = _first_level(p, k, curv0)
+    if not lam_lo < start < lam_hi:
+        start = _midpoint(lam_lo, lam_hi)
     target = 1.0 - 0.5 * _TOL
     q = np.zeros_like(p)
+    lam, used = _predict(p, start, k, c, lam_lo, lam_hi, q, min(_PREDICT_STEPS, _MAX_ITER))
+    if lam is None:
+        lam = start
+        q[:] = 0.0
     q_hi = np.zeros_like(p)  # the plan at lam_hi, where every item sits at 0
     curv = np.empty_like(p)
     converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
+    iterations = used
+    for iterations in range(used + 1, _MAX_ITER + 1):
         if math.nextafter(lam_lo, lam_hi) >= lam_hi:
             converged = True
             break
@@ -333,9 +412,11 @@ def kkt_residual(p: Prior, plan: AmplitudePlan) -> float:
 
 def _certified(p: Prior, q: np.ndarray, t: int) -> AmplitudePlan:
     """The plan (q, t) with its ESP and KKT residual under p in ``meta``."""
-    plan = AmplitudePlan(q=q, t=t)
-    meta = {"esp": esp(p, plan), "kkt_residual": kkt_residual(p, plan)}
-    return AmplitudePlan(q=plan.q, t=t, meta=meta)
+    meta = {}
+    plan = AmplitudePlan(q=q, t=t, meta=meta)
+    meta["esp"] = esp(p, plan)
+    meta["kkt_residual"] = kkt_residual(p, plan)
+    return plan
 
 
 def plan_to_json(p: Prior, plan: AmplitudePlan, certificate=None) -> str:

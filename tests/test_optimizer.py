@@ -486,3 +486,91 @@ def test_waterfill_outer_iterations_stay_newton_fast():
             _, _, iterations, converged = waterfill(w[w > 0.0], t)
             assert converged
             assert iterations <= 15, (s, t, iterations)
+
+
+def counted_evaluations(monkeypatch):
+    """Record the size of every g'/g'' evaluation the water-fill makes."""
+    calls = []
+    original = optimizer.slope_and_curvature
+
+    def counted(q, k):
+        calls.append(np.size(q))
+        return original(q, k)
+
+    monkeypatch.setattr(optimizer, "slope_and_curvature", counted)
+    return calls
+
+
+def test_waterfill_spends_few_evaluations_per_solve(monkeypatch):
+    # The nested Newton alone spends about 31 g'/g'' evaluations per solve on
+    # these priors, the joint predictor about 9; a predictor that quietly gave
+    # up on every solve would cost the nested count plus its step cap.
+    calls = counted_evaluations(monkeypatch)
+    solves = 0
+    for s in range(10):
+        w = sample_random_prior(512, 42 ^ s).weights
+        for t in range(1, 18):
+            _, _, _, converged = waterfill(w[w > 0.0], t)
+            assert converged
+            solves += 1
+    assert len(calls) / solves <= 12
+
+
+def test_waterfill_restarts_the_nested_loop_when_the_predictor_gives_up(monkeypatch):
+    # Two joint steps never reach the predictor's tolerance from these starts,
+    # so each solve is the nested loop's own, two iterations later.
+    for s in range(3):
+        w = sample_random_prior(512, 42 ^ s).weights
+        for t in (1, 9, 15):
+            q, lam, iterations, converged = waterfill(w, t)
+            monkeypatch.setattr(optimizer, "_PREDICT_STEPS", 0)
+            q0, lam0, iterations0, _ = waterfill(w, t)
+            monkeypatch.setattr(optimizer, "_PREDICT_STEPS", 2)
+            q2, lam2, iterations2, converged2 = waterfill(w, t)
+            monkeypatch.undo()
+            assert converged and converged2
+            assert iterations2 == iterations0 + 2
+            assert q2.tolist() == q0.tolist() and lam2 == lam0
+            assert np.abs(q - q0).max() <= 1e-12
+
+
+def just_binding(n, t):
+    """Weights in [1, 2] on n = floor(1/cap(t)) + 1 items, so n cap(t) - 1 is small."""
+    assert n == math.floor(1.0 / cap(t)) + 1
+    return 1.0 + np.random.Generator(np.random.PCG64(n)).random(n)
+
+
+# name -> (weights, t).  At n = 107,492 and t = 257, n cap - 1 = 2.1e-7 puts
+# every q within 3e-12 of the cap, inside _FACE_TOL; at n = 1,930 and t = 34
+# it is 5.5e-5, within 4e-8.  The small siblings stay at n <= 4,096, where
+# the test-side duality_gap still fits in memory.
+HARD_SHAPES = {
+    "just-binding": (lambda: just_binding(107_492, 257), 257),
+    "just-binding-small": (lambda: just_binding(1_930, 34), 34),
+    "geomspace": (lambda: np.geomspace(1.0, 1e-300, 200_000), 300),
+    "geomspace-small": (lambda: np.geomspace(1.0, 1e-300, 2_048), 30),
+    "one-heavy": (lambda: np.r_[1.0, np.full(100_000, 1e-300)], 22),
+    "one-heavy-small": (lambda: np.r_[1.0, np.full(2_047, 1e-300)], 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_SHAPES))
+def test_hard_shapes_cost_at_most_the_predictor_cap_extra(name, monkeypatch):
+    weights, t = HARD_SHAPES[name]
+    p = new_prior(weights())
+    calls = counted_evaluations(monkeypatch)
+    plan = optimize(p, t)  # raises NumericalFailure unless the fill converged
+    joint = len(calls)
+    q = plan.q
+    assert float(q.min()) >= 0.0
+    assert float(q.max()) <= cap(t)
+    assert 1.0 - 1e-12 <= float(q.sum()) <= 1.0
+    assert plan.meta["kkt_residual"] <= 1e-9
+    if p.n <= 4096:
+        assert duality_gap(p.weights, q, t) <= 1e-14
+    # With no predictor steps the nested loop runs alone, from its own start.
+    steps = optimizer._PREDICT_STEPS
+    monkeypatch.setattr(optimizer, "_PREDICT_STEPS", 0)
+    del calls[:]
+    assert waterfill(p.weights[p.weights > 0.0], t)[3]
+    assert joint <= len(calls) + steps
