@@ -12,23 +12,20 @@ coordinates at the cap above it.
 One skeleton, :func:`_solve`, pins zero weights, saturates every item when
 the caps fit the budget, hands a binding budget to a fill, reports a fill
 that missed its tolerance and certifies the result.  Two fills plug into it.
-:func:`waterfill` runs a predictor and then a finisher.  The predictor is
-Newton on the KKT system in (q, lam) together, restricted to the active set
-(the primal-dual active-set method: Hintermueller, Ito and Kunisch, SIAM J.
-Optim. 13(3), 2002): one g'/g'' evaluation per step, a diagonal system with
-one border row, a fixed step cap.  The finisher is safeguarded Newton twice
-over, on the multiplier outside and per coordinate inside for each
-multiplier; it takes the predictor's (q, lam) as its warm start, or starts
-afresh when the predictor gives up.  Each finisher loop keeps the monotone
-bracket that a bisection would, and bisects only when a Newton step leaves
-it (the standard treatment of water-filling: Palomar and Fonollosa, IEEE
-Trans. Signal Processing 53(2), 2005; Boyd and Vandenberghe, Convex
-Optimization, 5.5.3), so the finisher alone decides convergence.  The t = 1
-closed form bisects instead, as an independent cross-check.  Both fills take
-(weights, t), start from one bracket, :func:`_bracket`, fall back on one
-:func:`_midpoint`, report the same multiplier lam >= 0 and stop by one rule:
-in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no float lies
-inside the bracket.
+:func:`waterfill` is one safeguarded loop of Newton steps on the KKT system
+in (q, lam) together, restricted to the active set (the primal-dual
+active-set method: Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3),
+2002): one g'/g'' evaluation per iteration, a diagonal system with one
+border row.  It keeps the monotone multiplier bracket that a bisection
+would, moves it only by a sum it has solved, and leaves the Newton step
+for a midpoint only when the step leaves the bracket (the standard
+treatment of water-filling: Palomar and Fonollosa, IEEE Trans. Signal
+Processing 53(2), 2005; Boyd and Vandenberghe, Convex Optimization, 5.5.3).
+The t = 1 closed form bisects instead, as an independent cross-check.  Both
+fills take (weights, t), start from one bracket, :func:`_bracket`, fall
+back on one :func:`_midpoint`, report the same multiplier lam >= 0 and stop
+by one rule: in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no
+float lies inside the bracket.
 """
 
 from __future__ import annotations
@@ -62,81 +59,16 @@ _FACE_TOL = 1e-11
 _TOL = 1e-14
 _MAX_ITER = 200
 
-# The joint Newton predictor's step cap, and the largest coordinate step,
-# relative to cap(t), at which it hands its plan to the finisher.
-_PREDICT_STEPS = 15
-_PREDICT_TOL = 1e-7
+# The water-fill calls a sum solved once no fixed-multiplier Newton step
+# exceeds cap(t) 2**-52, or once the largest is below _SOLVED_TOL cap(t) and
+# stops halving: g' is then evaluated to its noise and a further step only
+# moves q by that noise.
+_SOLVED_TOL = 1e-7
 
 
 def kernel_backend() -> str:
     """Name of the water-fill implementation; there is only the NumPy one."""
     return "python"
-
-
-def _newton_coords(p, lam, k, cap, curv0, q, curv):
-    """Set each q_i to the root of p_i g'(q_i) = lam in [0, cap], in place.
-
-    g' falls strictly from g'(0+) = k^2 to g'(cap) = 0, so items with
-    p_i k^2 <= lam sit at 0 and every other item has one root inside (0, cap).
-    Each root is found by Newton in q inside its own bracket [lo, hi], which
-    the sign of p_i g'(q_i) - lam narrows at every step; a step that leaves the
-    bracket is replaced by the bracket's midpoint.  A coordinate stops when
-    the raw Newton step or its bracket is at most cap * 2**-52.  It then takes
-    that last step only if the step stays inside the bracket: below that
-    resolution g' is noise, and a bisection would only move it off the root.
-    Only coordinates that have not stopped are iterated.
-
-    On entry q holds the warm start, the previous multiplier's coordinates;
-    an item coming off 0 starts at the Newton step from 0, where g' = k^2 and
-    g'' = curv0.  On return curv holds p_i g''(q_i) where q_i > 0 and -inf
-    where q_i = 0, so that sum(1 / curv) is dS/dlam for S = sum(q).
-    """
-    res = cap * 2.0**-52
-    active = p * (k * k) > lam
-    q[~active] = 0.0
-    curv[~active] = -np.inf
-    idx = np.flatnonzero(active)
-    w = p[idx]
-    x = q[idx]
-    fresh = x == 0.0
-    x[fresh] = np.maximum((lam / w[fresh] - k * k) / curv0, res)
-    lo = np.zeros(idx.size)
-    hi = np.full(idx.size, cap)
-    while idx.size:
-        g1, g2 = slope_and_curvature(x, k)
-        f = w * g1 - lam
-        c = w * g2
-        rising = f > 0.0
-        np.copyto(lo, x, where=rising)
-        np.copyto(hi, x, where=~rising)
-        step = f / c
-        done = (np.abs(step) <= res) | (hi - lo <= res)
-        x_new = x - step
-        outside = ~((x_new > lo) & (x_new < hi))
-        if done.any():
-            q[idx[done]] = np.where(outside[done], x[done], x_new[done])
-            curv[idx[done]] = c[done]
-            keep = ~done
-            idx, w, x_new, lo, hi = idx[keep], w[keep], x_new[keep], lo[keep], hi[keep]
-            outside = outside[keep]
-        x = x_new
-        x[outside] = 0.5 * (lo[outside] + hi[outside])
-
-
-def _first_level(p, k, curv0):
-    """A first multiplier from g' linearised at 0, g'(q) ~ k^2 + curv0 q.
-
-    The line never reaches the cap.  With the m largest weights p_(1..m)
-    active it gives sum(q) = 1 at lam_m = (m k^2 + curv0) / sum_{i<=m} 1/p_(i),
-    and the water level is the last lam_m > 0 that keeps its m-th item
-    active (lam_m < p_(m) k^2).  Returns inf when no m qualifies.
-    """
-    desc = -np.sort(-p)
-    # Weights near 1e-308 overflow the sum of 1/p; the level there is 0 and never fits.
-    with np.errstate(over="ignore"):
-        levels = (np.arange(1, p.size + 1) * (k * k) + curv0) / np.cumsum(1.0 / desc)
-    fits = np.flatnonzero((levels > 0.0) & (levels < desc * (k * k)))
-    return float(levels[fits[-1]]) if fits.size else math.inf
 
 
 def _bracket(w, t):
@@ -163,56 +95,18 @@ def _midpoint(lam_lo, lam_hi):
     return 0.5 * (lam_lo + lam_hi)
 
 
-def _predict(p, lam, k, cap, lam_lo, lam_hi, q, steps):
-    """Joint Newton on p_i g'(q_i) = lam and sum(q) = 1 - _TOL/2, q set in place.
+def _chord_level(top, cap):
+    """The multiplier at which the chord of g' spends the budget.
 
-    Each step linearises the system at (q, lam) on the active set p_i k^2 > lam
-    (the other items sit at 0).  With f_i = p_i g'(q_i) - lam and
-    c_i = p_i g''(q_i) < 0 the system is diagonal plus one border row:
-
-        dlam = (target - sum(q) + sum(f_i / c_i)) / sum(1 / c_i),
-        dq_i = (dlam - f_i) / c_i,
-
-    with q clipped to [0, cap]; one g'/g'' evaluation per step.  A multiplier
-    that leaves the bracket goes instead to :func:`_midpoint` of the current
-    multiplier and the end it crossed.  The coordinates start, and restart
-    after such a jump, where the chord of g' from (0, k^2) to (cap, 0) meets
-    lam / p_i: the chord is exact on both faces and holds across the decades
-    a jump can span, where a tangent taken at the last multiplier does not.
-    Returns (lam, steps taken) once a Newton step moves no coordinate by more
-    than _PREDICT_TOL cap, or (None, steps taken) when ``steps`` steps do not
-    get there.
+    The chord from (0, k^2) to (cap, 0) puts item i at
+    q_i = cap (1 - lam / top_i) while lam < top_i = p_i k^2, and at 0 after.
+    With the m largest tops active the sum is the line cap (m - lam H_m),
+    H_m = sum_{i<=m} 1 / top_(i), which lies below the sum everywhere and
+    meets it where exactly those m are active.  The sum falls as lam rises,
+    so it is 1 at the largest root (m - 1/cap) / H_m of these lines.
     """
-    target = 1.0 - 0.5 * _TOL
-    top = p * (k * k)  # p_i g'(0+): item i is active while lam is below it
-    chord = True
-    step = 0
-    for step in range(1, steps + 1):
-        active = top > lam
-        if chord:
-            q[:] = cap * np.maximum(1.0 - lam / top, 0.0)
-        else:
-            q[~active] = 0.0
-        idx = np.flatnonzero(active)
-        x = q[idx]
-        w = p[idx]
-        g1, g2 = slope_and_curvature(x, k)
-        f = w * g1 - lam
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = 1.0 / (w * g2)
-            d_lam = (target - float(x.sum()) + float(f @ r)) / float(r.sum())
-        if not math.isfinite(d_lam):
-            break
-        chord = not lam_lo < lam + d_lam < lam_hi
-        if chord:
-            lam = _midpoint(lam_lo, lam) if d_lam < 0.0 else _midpoint(lam, lam_hi)
-            continue
-        dq = (d_lam - f) * r
-        q[idx] = np.clip(x + dq, 0.0, cap)
-        lam += d_lam
-        if float(np.abs(dq).max()) <= _PREDICT_TOL * cap:
-            return lam, step
-    return None, step
+    m = np.arange(1, top.size + 1)
+    return float(np.max((m - 1.0 / cap) / np.cumsum(np.sort(1.0 / top))))
 
 
 def waterfill(p, t):
@@ -220,74 +114,106 @@ def waterfill(p, t):
 
     Returns (q, lam, iterations, converged) with p_i g'(q_i) = lam >= 0 on
     every coordinate inside (0, cap); the caller guarantees len(p) cap(t) > 1.
-    Both stages start from :func:`_first_level`, or from the bracket's
-    :func:`_midpoint` when no linearised level fits.
 
-    The predictor, :func:`_predict`, runs at most _PREDICT_STEPS joint Newton
-    steps.  If it converges, its (q, lam) is the finisher's warm start;
-    otherwise the finisher starts from q = 0 as if the predictor had not run.
-    _MAX_ITER bounds predictor steps and finisher iterations together, and
-    ``iterations`` counts both.
+    Each iteration linearises the KKT system p_i g'(q_i) = lam,
+    sum(q) = 1 - _TOL/2 at (q, lam) on the active set p_i k^2 > lam (the
+    other items sit at 0), with one g'/g'' evaluation.  With
+    f_i = p_i g'(q_i) - lam and c_i = p_i g''(q_i) < 0 the system is diagonal
+    plus one border row:
 
-    The finisher keeps the bracket from :func:`_bracket`, with
+        dlam = (1 - _TOL/2 - sum(q) + sum(f_i / c_i)) / sum(1 / c_i),
+        dq_i = (dlam - f_i) / c_i,
+
+    with q clipped to [0, cap].  The target is the middle of the accepted
+    window 1 - _TOL <= sum(q) <= 1; aimed at 1 itself the iteration would
+    approach from the infeasible side.
+
+    The loop keeps the bracket from :func:`_bracket`, with
     S(lam_lo) > 1 >= S(lam_hi) for the non-increasing S(lam) = sum(q(lam)).
-    Each iteration solves every coordinate at lam (:func:`_newton_coords`),
-    then takes a Newton step on S = 1 - _TOL/2, the middle of the accepted
-    window 1 - _TOL <= S <= 1, with dS/dlam = sum(1 / (p_i g''(q_i))) over
-    the coordinates inside (0, cap); aimed at 1 itself it would approach from
-    the infeasible side.  A step that leaves the bracket goes to
-    :func:`_midpoint`.  The loop also stops, with converged=True, once no
-    float lies strictly between lam_lo and lam_hi, and returns the plan at
-    lam_hi: its sum(q) <= 1 may then sit just below the window (tied weights
-    round alike).  Out of iterations, it returns that plan with
-    converged=False.
+    Only a solved sum moves it (see _SOLVED_TOL): then the plan after its
+    last fixed-lam step q - f/c, or else q itself, is returned if it sums
+    into the window; otherwise the sum of q moves one end of the bracket to
+    lam, and a Newton step that would not move lam toward the window (below
+    lam's resolution, or back across that end) moves it to the neighbouring
+    float instead.  A step that leaves the bracket goes to the
+    :func:`_midpoint` of lam and the end it crossed.  There, and at the start
+    (:func:`_chord_level`, or the bracket's midpoint when that falls
+    outside), the coordinates take the chord of g' from (0, k^2) to (cap, 0)
+    at lam / p_i: it is exact on both faces and holds across the decades a
+    jump can span, where a tangent taken at the last multiplier does not.
+
+    The loop also stops, with converged=True, once no float lies strictly
+    between lam_lo and lam_hi, and returns the plan at lam_hi: its
+    sum(q) <= 1 may then sit just below the window (tied weights round
+    alike).  Out of iterations, it returns that plan with converged=False.
+    The weights are first scaled by a power of two that centres their
+    exponents, which is exact and keeps every sum of 1/c_i and every
+    multiplier in range for weights from 5e-324 to 1; the shift is even, so
+    the square roots in :func:`_midpoint` scale exactly too.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
+    shift = -2 * ((math.frexp(float(p.max()))[1] + math.frexp(float(p.min()))[1]) // 4)
+    w = np.ldexp(p, shift)
     k = float(2 * t + 1)
     c = cap(t)
-    curv0 = float(slope_and_curvature(np.zeros(1), k)[1][0])
-    lam_lo, lam_hi = _bracket(p, t)
-    start = _first_level(p, k, curv0)
-    if not lam_lo < start < lam_hi:
-        start = _midpoint(lam_lo, lam_hi)
+    res = c * 2.0**-52
     target = 1.0 - 0.5 * _TOL
-    q = np.zeros_like(p)
-    lam, used = _predict(p, start, k, c, lam_lo, lam_hi, q, min(_PREDICT_STEPS, _MAX_ITER))
-    if lam is None:
-        lam = start
-        q[:] = 0.0
-    q_hi = np.zeros_like(p)  # the plan at lam_hi, where every item sits at 0
-    curv = np.empty_like(p)
+    top = w * (k * k)  # w_i g'(0+): item i is active while lam is below it
+    lam_lo, lam_hi = _bracket(w, t)
+    lam = _chord_level(top, c)
+    chord = True
+    q_hi = np.zeros_like(w)  # the plan at lam_hi, where every item sits at 0
     converged = False
-    iterations = used
-    for iterations in range(used + 1, _MAX_ITER + 1):
+    iterations = 0
+    for iterations in range(1, _MAX_ITER + 1):
         if math.nextafter(lam_lo, lam_hi) >= lam_hi:
             converged = True
             break
         if not lam_lo < lam < lam_hi:
             lam = _midpoint(lam_lo, lam_hi)
-        _newton_coords(p, lam, k, c, curv0, q, curv)
-        total = float(q.sum())
-        if 1.0 - _TOL <= total <= 1.0:
-            return q, lam, iterations, True
-        if total > 1.0:
-            lam_lo = lam
+            chord = True
+        if chord:
+            idx = np.flatnonzero(top > lam)
+            q = np.zeros_like(w)
+            q[idx] = c * (1.0 - lam / top[idx])
+            chord = False
+            prev = math.inf
         else:
-            lam_hi = lam
-            np.copyto(q_hi, q)
-        # The Newton step is taken in log(lam), with dS/dlog(lam) = lam dS/dlam:
-        # it then spans decades of lam when the weights do, where a step in lam
-        # itself lands on the far side of the bracket.  exp overflows past 709,
-        # and a step that long leaves the bracket anyway.  A step below lam's
-        # resolution moves lam to the neighbouring float instead, unless
-        # dS/dlam overflowed (weights near 1e-308), which leaves no step at all.
-        with np.errstate(over="ignore"):
-            d_total = float(np.sum(1.0 / curv))
-        step = lam * math.expm1(min((target - total) / d_total / lam, 700.0))
-        if lam + step == lam and d_total > -math.inf:
-            step = math.nextafter(lam, lam_hi if total > 1.0 else lam_lo) - lam
-        lam += step
-    return q_hi, lam_hi, iterations, converged
+            q[idx[top[idx] <= lam]] = 0.0  # only the items that left the active set
+            idx = np.flatnonzero(top > lam)
+        x = q[idx]
+        wi = w[idx]
+        g1, g2 = slope_and_curvature(x, k)
+        f = wi * g1 - lam
+        r = 1.0 / (wi * g2)
+        step = f * r
+        err = float(np.abs(step).max())
+        solved = err <= res or (err <= _SOLVED_TOL * c and err > 0.5 * prev)
+        prev = err
+        if solved:
+            for plan in (np.clip(x - step, 0.0, c), x):
+                q[idx] = plan
+                total = float(q.sum())
+                if 1.0 - _TOL <= total <= 1.0:
+                    return q, math.ldexp(lam, -shift), iterations, True
+            if total > 1.0:
+                lam_lo = lam
+            else:
+                lam_hi = lam
+                np.copyto(q_hi, q)
+        d_lam = (target - float(x.sum()) + float(f @ r)) / float(r.sum())
+        # A step that would not move lam toward the window from a solved sum
+        # (below lam's resolution, or back across the end just set) is
+        # replaced by the step to the neighbouring float.
+        if solved and (lam + d_lam - lam) * (total - 1.0) <= 0.0:
+            d_lam = math.nextafter(lam, lam_hi if total > 1.0 else lam_lo) - lam
+        if not lam_lo < lam + d_lam < lam_hi:
+            lam = _midpoint(lam_lo, lam) if d_lam < 0.0 else _midpoint(lam, lam_hi)
+            chord = True
+            continue
+        q[idx] = np.clip(x + (d_lam - f) * r, 0.0, c)
+        lam += d_lam
+    return q_hi, math.ldexp(lam_hi, -shift), iterations, converged
 
 
 def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
