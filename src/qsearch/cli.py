@@ -36,8 +36,8 @@ from .optimizer import kkt_residual, optimize, save_plan
 from .prior import Prior, l1_distance, load_prior, new_prior, sample_random_prior, top_k_mass
 from .simulator import run_iterations
 
-#: Slack used when enforcing the method ordering inline (matches the
-#: optimizer's own dominance tolerance).
+#: Slack that compare's ordering check allows between the methods' mean ESPs
+#: (optimal >= ranking >= uniform, optimal >= classical).
 _ORDER_TOL = 1e-9
 
 

@@ -22,10 +22,11 @@ for a midpoint only when the step leaves the bracket (the standard
 treatment of water-filling: Palomar and Fonollosa, IEEE Trans. Signal
 Processing 53(2), 2005; Boyd and Vandenberghe, Convex Optimization, 5.5.3).
 The t = 1 closed form bisects instead, as an independent cross-check.  Both
-fills take (weights, t), start from one bracket, :func:`_bracket`, fall
-back on one :func:`_midpoint`, report the same multiplier lam >= 0 and stop
-by one rule: in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no
-float lies inside the bracket.
+fills take (weights, t) with the weights centred by one exact power of two
+in :func:`_solve`, start from one bracket, :func:`_bracket`, fall back on
+one :func:`_midpoint`, report the same multiplier lam >= 0 and stop by one
+rule: in the window 1 - _TOL <= sum(q) <= 1, or at lam_hi once no float
+lies inside the bracket.
 """
 
 from __future__ import annotations
@@ -109,11 +110,11 @@ def _chord_level(top, cap):
     return float(np.max((m - 1.0 / cap) / np.cumsum(np.sort(1.0 / top))))
 
 
-def waterfill(p, t):
+def waterfill(w, t):
     """Budget-binding water-fill over strictly positive weights at budget t >= 1.
 
     Returns (q, lam, iterations, converged) with p_i g'(q_i) = lam >= 0 on
-    every coordinate inside (0, cap); the caller guarantees len(p) cap(t) > 1.
+    every coordinate inside (0, cap); the caller guarantees len(w) cap(t) > 1.
 
     Each iteration linearises the KKT system p_i g'(q_i) = lam,
     sum(q) = 1 - _TOL/2 at (q, lam) on the active set p_i k^2 > lam (the
@@ -146,14 +147,9 @@ def waterfill(p, t):
     between lam_lo and lam_hi, and returns the plan at lam_hi: its
     sum(q) <= 1 may then sit just below the window (tied weights round
     alike).  Out of iterations, it returns that plan with converged=False.
-    The weights are first scaled by a power of two that centres their
-    exponents, which is exact and keeps every sum of 1/c_i and every
-    multiplier in range for weights from 5e-324 to 1; the shift is even, so
-    the square roots in :func:`_midpoint` scale exactly too.
+    :func:`_solve` hands it weights centred by a power of two; lam comes
+    back in the units of the weights it is given.
     """
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    shift = -2 * ((math.frexp(float(p.max()))[1] + math.frexp(float(p.min()))[1]) // 4)
-    w = np.ldexp(p, shift)
     k = float(2 * t + 1)
     c = cap(t)
     res = c * 2.0**-52
@@ -195,7 +191,7 @@ def waterfill(p, t):
                 q[idx] = plan
                 total = float(q.sum())
                 if 1.0 - _TOL <= total <= 1.0:
-                    return q, math.ldexp(lam, -shift), iterations, True
+                    return q, lam, iterations, True
             if total > 1.0:
                 lam_lo = lam
             else:
@@ -213,7 +209,7 @@ def waterfill(p, t):
             continue
         q[idx] = np.clip(x + (d_lam - f) * r, 0.0, c)
         lam += d_lam
-    return q_hi, math.ldexp(lam_hi, -shift), iterations, converged
+    return q_hi, lam_hi, iterations, converged
 
 
 def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
@@ -222,21 +218,30 @@ def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
     Zero-weight items are pinned to q = 0 (amplitude there is wasted and only
     degrades the KKT system).  If the caps of the remaining items fit inside
     the unit budget the multiplier is 0 and every supported item saturates.
-    Otherwise the budget binds and ``fill(weights[support], t)`` returns
-    (q, lam, iterations, converged); a solve that missed its tolerance raises
-    NumericalFailure with the iteration count, the multiplier and the last
-    |sum(q) - 1|.
+    Otherwise the budget binds and ``fill(w, t)`` returns
+    (q, lam, iterations, converged) for the supported weights w; a solve that
+    missed its tolerance raises NumericalFailure with the iteration count,
+    the multiplier and the last |sum(q) - 1|.
+
+    Both fills see the supported weights scaled by a power of two that
+    centres their exponents.  The scaling is exact and keeps every
+    multiplier, and every sum of 1/c_i in the water-fill, in range for
+    weights from 5e-324 to 1; the shift is even, so the square roots in
+    :func:`_midpoint` scale exactly too.  The reported multiplier is scaled
+    back.
     """
-    w = p.weights
-    support = w > 0.0
+    support = p.weights > 0.0
+    w = p.weights[support]
     c = cap(t)
     q = np.zeros(p.n)
-    if int(support.sum()) * c <= 1.0:
+    if w.size * c <= 1.0:
         q[support] = c
         return _certified(p, q, t)
-    q_pos, lam, iterations, converged = fill(w[support], t)
+    shift = -2 * ((math.frexp(float(w.max()))[1] + math.frexp(float(w.min()))[1]) // 4)
+    q_pos, lam, iterations, converged = fill(np.ldexp(w, shift), t)
     if not converged:
         gap = abs(float(np.sum(q_pos)) - 1.0)
+        lam = math.ldexp(lam, -shift)
         raise NumericalFailure(
             f"water-fill stopped after {iterations} iterations at lam = {lam!r} "
             f"with |sum(q)-1| = {gap:.3e} (tol {_TOL:g})"
@@ -275,7 +280,10 @@ def optimize_t1_closed_form(p: Prior) -> AmplitudePlan:
 
     def fill(w, t):
         def coords(lam):
-            return np.maximum(0.5 - np.sqrt(1.0 / 16.0 + lam / (48.0 * w)), 0.0)
+            q = np.zeros_like(w)
+            active = 9.0 * w > lam  # the rest sit at 0; here lam / (48 w) < 3/16
+            q[active] = np.maximum(0.5 - np.sqrt(1.0 / 16.0 + lam / (48.0 * w[active])), 0.0)
+            return q
 
         lam_lo, lam_hi = _bracket(w, t)
         converged = False
