@@ -528,18 +528,26 @@ def counted_evaluations(monkeypatch):
     return calls
 
 
-def test_waterfill_outer_iterations_stay_newton_fast(monkeypatch):
-    # A safeguard that quietly fell back to bisection would need about 40
-    # iterations.  About 7 g'/g'' evaluations per solve on these priors;
-    # solving every coordinate to convergence at each multiplier costs about 31.
-    calls = counted_evaluations(monkeypatch)
-    solves = 0
+def test_waterfill_outer_iterations_stay_newton_fast():
+    # A safeguard that quietly fell back to bisection would need about 40.
     for s in range(10):
         w = sample_random_prior(512, 42 ^ s).weights
         for t in range(1, 18):
             _, _, iterations, converged = waterfill(w[w > 0.0], t)
             assert converged
             assert iterations <= 15, (s, t, iterations)
+
+
+def test_waterfill_spends_few_evaluations_per_solve(monkeypatch):
+    # About 7 g'/g'' evaluations per solve on these priors.  Solving every
+    # coordinate to convergence at each multiplier costs about 31.
+    calls = counted_evaluations(monkeypatch)
+    solves = 0
+    for s in range(10):
+        w = sample_random_prior(512, 42 ^ s).weights
+        for t in range(1, 18):
+            _, _, _, converged = waterfill(w[w > 0.0], t)
+            assert converged
             solves += 1
     assert len(calls) / solves <= 8
 
