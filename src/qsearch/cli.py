@@ -109,12 +109,14 @@ def cmd_compare(args) -> int:
                 return 4
 
     lines = ["t,method,mean_esp,std_esp,samples,seed"]
-    values = np.asarray(per_sample)  # (samples, t, method)
+    # (t, method, samples), contiguous: each cell reduces one contiguous row,
+    # with the pairwise summation a (samples,) column gets on its own.
+    values = np.ascontiguousarray(np.transpose(per_sample, (1, 2, 0)))
+    means, stds = values.mean(axis=-1), values.std(axis=-1)
     for ti, t in enumerate(t_values):
         for mi, method in enumerate(METHODS):
-            col = values[:, ti, mi]
             lines.append(
-                f"{t},{method},{float(col.mean())!r},{float(col.std())!r},"
+                f"{t},{method},{float(means[ti, mi])!r},{float(stds[ti, mi])!r},"
                 f"{args.samples},{args.seed}"
             )
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -332,8 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call and reused by every later one
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return int(args.func(args))
     except (InvalidInput, ResourceLimit, OSError) as exc:

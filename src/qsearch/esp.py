@@ -36,6 +36,9 @@ METHODS = ("classical", "grover-uniform", "ranking", "optimal")
 #: Smaller-M wins on ranking ties; float noise within this counts as a tie.
 _RANKING_TIE_TOL = 1e-12
 
+#: The smallest normal float; slope_and_curvature lifts q = 0 to it.
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 @dataclass(frozen=True)
 class AmplitudePlan:
@@ -54,9 +57,10 @@ class AmplitudePlan:
         q = np.asarray(self.q, dtype=np.float64)
         if q.ndim != 1 or q.size < 1:
             raise InvalidInput("plan needs a non-empty 1-D amplitude vector")
-        if not np.all(np.isfinite(q)):
+        lo, hi = q.min(), q.max()  # NaN and +-inf reach one of the two
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInput("plan amplitudes must be finite")
-        if np.any(q < 0.0) or np.any(q > 1.0):
+        if lo < 0.0 or hi > 1.0:
             raise InvalidInput("plan amplitudes must lie in [0, 1]")
         if float(q.sum()) > 1.0 + PLAN_SUM_TOL:
             raise InvalidInput(f"plan amplitudes sum to {q.sum()!r} > 1")
@@ -96,7 +100,7 @@ def cap(t: int) -> float:
 
 def slope(q, k):
     """g'(q) = k sin(2k arcsin sqrt q) / (2 sqrt(q(1-q))) for 0 < q < 1, k = 2t+1."""
-    return _slope_at(q, k, 2.0 * k * np.arcsin(np.sqrt(q)))
+    return _slope_at(q * (1.0 - q), k, 2.0 * k * np.arcsin(np.sqrt(q)))
 
 
 def slope_and_curvature(q, k):
@@ -110,21 +114,24 @@ def slope_and_curvature(q, k):
     -2k^2(k^2-1)/3 * (1 - 2q(k^2-4)/5) instead (both are then within about
     1e-11 of the exact value).  At q = 0 the pair is the limit
     (k^2, -2k^2(k^2-1)/3).  g' has the bits of :func:`slope`.  The Newton
-    step of the water-fill needs both and pays for the angle once.
+    step of the water-fill needs both and pays for the angle and q(1-q) once
+    (4 q(1-q) has the bits of (4q)(1-q): a power of two scales exactly).
     """
-    q = np.maximum(q, np.finfo(np.float64).tiny)  # q = 0 gives the limits, not 0/0
+    q = np.maximum(q, _TINY)  # q = 0 gives the limits, not 0/0
     angle = 2.0 * k * np.arcsin(np.sqrt(q))
-    g1 = _slope_at(q, k, angle)
-    g2 = (2.0 * k * k * np.cos(angle) - 2.0 * g1 * (1.0 - 2.0 * q)) / (4.0 * q * (1.0 - q))
-    near = q * (k * k) < 1e-5
-    if near.any():
-        kk = float(k) * float(k)
+    qq = q * (1.0 - q)
+    g1 = _slope_at(qq, k, angle)
+    g2 = (2.0 * k * k * np.cos(angle) - 2.0 * g1 * (1.0 - 2.0 * q)) / (4.0 * qq)
+    kk = float(k) * float(k)
+    if float(q.min()) * kk < 1e-5:  # the smallest q is near 0 if any is
+        near = q * kk < 1e-5
         g2[near] = -2.0 * kk * (kk - 1.0) / 3.0 * (1.0 - 0.4 * (kk - 4.0) * q[near])
     return g1, g2
 
 
-def _slope_at(q, k, angle):
-    return k * np.sin(angle) / (2.0 * np.sqrt(q * (1.0 - q)))
+def _slope_at(qq, k, angle):
+    """g' from its angle 2k arcsin sqrt q and qq = q(1-q)."""
+    return k * np.sin(angle) / (2.0 * np.sqrt(qq))
 
 
 def marginal(q, t: int) -> np.ndarray:
@@ -135,7 +142,7 @@ def marginal(q, t: int) -> np.ndarray:
     certificate and the ascent bound's gradient both read the faces from here.
     """
     k = 2 * t + 1
-    qc = np.clip(q, 0.0, cap(t))
+    qc = np.minimum(np.maximum(q, 0.0), cap(t))
     out = np.full(qc.shape, float(k * k))
     inside = (qc > 0.0) & (qc < 1.0)
     out[inside] = slope(qc[inside], k)

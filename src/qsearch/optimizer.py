@@ -96,7 +96,7 @@ def _midpoint(lam_lo, lam_hi):
     return 0.5 * (lam_lo + lam_hi)
 
 
-def _chord_level(top, cap):
+def _chord_level(sorted_top, cap):
     """The multiplier at which the chord of g' spends the budget.
 
     The chord from (0, k^2) to (cap, 0) puts item i at
@@ -105,9 +105,11 @@ def _chord_level(top, cap):
     H_m = sum_{i<=m} 1 / top_(i), which lies below the sum everywhere and
     meets it where exactly those m are active.  The sum falls as lam rises,
     so it is 1 at the largest root (m - 1/cap) / H_m of these lines.
+    ``sorted_top`` is the tops in ascending order; 1/x is monotone and
+    correctly rounded, so reversed it gives the reciprocals sorted.
     """
-    m = np.arange(1, top.size + 1)
-    return float(np.max((m - 1.0 / cap) / np.cumsum(np.sort(1.0 / top))))
+    m = np.arange(1, sorted_top.size + 1)
+    return float(np.max((m - 1.0 / cap) / np.cumsum(1.0 / sorted_top[::-1])))
 
 
 def waterfill(w, t):
@@ -155,9 +157,13 @@ def waterfill(w, t):
     res = c * 2.0**-52
     target = 1.0 - 0.5 * _TOL
     top = w * (k * k)  # w_i g'(0+): item i is active while lam is below it
+    sorted_top = np.sort(top)
     lam_lo, lam_hi = _bracket(w, t)
-    lam = _chord_level(top, c)
+    lam = _chord_level(sorted_top, c)
     chord = True
+    # q is 0 off the active set idx; on it the coordinates live in x and are
+    # written into q only when the set changes, a sum is tested or q returns.
+    q = np.zeros_like(w)
     q_hi = np.zeros_like(w)  # the plan at lam_hi, where every item sits at 0
     converged = False
     iterations = 0
@@ -169,16 +175,19 @@ def waterfill(w, t):
             lam = _midpoint(lam_lo, lam_hi)
             chord = True
         if chord:
+            q.fill(0.0)
             idx = np.flatnonzero(top > lam)
-            q = np.zeros_like(w)
-            q[idx] = c * (1.0 - lam / top[idx])
+            x = c * (1.0 - lam / top[idx])
+            wi = w[idx]
             chord = False
             prev = math.inf
-        else:
+        elif top.size - int(np.searchsorted(sorted_top, lam, "right")) != idx.size:
+            # {top > lam} is a threshold set: only a changed count changes it.
+            q[idx] = x
             q[idx[top[idx] <= lam]] = 0.0  # only the items that left the active set
             idx = np.flatnonzero(top > lam)
-        x = q[idx]
-        wi = w[idx]
+            x = q[idx]
+            wi = w[idx]
         g1, g2 = slope_and_curvature(x, k)
         f = wi * g1 - lam
         r = 1.0 / (wi * g2)
@@ -187,7 +196,7 @@ def waterfill(w, t):
         solved = err <= res or (err <= _SOLVED_TOL * c and err > 0.5 * prev)
         prev = err
         if solved:
-            for plan in (np.clip(x - step, 0.0, c), x):
+            for plan in (_clip(x - step, c), x):
                 q[idx] = plan
                 total = float(q.sum())
                 if 1.0 - _TOL <= total <= 1.0:
@@ -207,9 +216,20 @@ def waterfill(w, t):
             lam = _midpoint(lam_lo, lam) if d_lam < 0.0 else _midpoint(lam, lam_hi)
             chord = True
             continue
-        q[idx] = np.clip(x + (d_lam - f) * r, 0.0, c)
+        x = _clip(x + (d_lam - f) * r, c)
         lam += d_lam
     return q_hi, lam_hi, iterations, converged
+
+
+def _clip(x, c):
+    """x clipped to [0, c] in place.
+
+    The bits of np.clip(x, 0, c) at less cost, for x without NaN or -0.0
+    (np.clip keeps -0.0, np.maximum lifts it to 0.0); the water-fill's
+    coordinates are never -0.0.
+    """
+    np.maximum(x, 0.0, out=x)
+    return np.minimum(x, c, out=x)
 
 
 def _solve(p: Prior, t: int, fill) -> AmplitudePlan:
@@ -326,22 +346,35 @@ def kkt_residual(p: Prior, plan: AmplitudePlan) -> float:
     at_zero = q <= _FACE_TOL
     at_cap = q >= c - _FACE_TOL
     interior = ~(at_zero | at_cap)
+    any_zero = bool(at_zero.any())
 
-    if np.any(interior):
-        lam = float(np.median(marg[interior]))
-    elif np.any(at_zero):
+    residual = 0.0
+    if interior.any():
+        inner = marg[interior]
+        lam = _median(inner)
+        residual = float(np.abs(inner - lam).max())
+    elif any_zero:
         lam = max(0.0, float(marg[at_zero].max()))
     else:
         lam = 0.0
-
-    residual = 0.0
-    if np.any(interior):
-        residual = float(np.abs(marg[interior] - lam).max())
-    if np.any(at_zero):
+    if any_zero:
         residual = max(residual, float((marg[at_zero] - lam).max()), 0.0)
-    if np.any(at_cap):
+    if at_cap.any():
         residual = max(residual, float((lam - marg[at_cap]).max()), 0.0)
     return residual
+
+
+def _median(a) -> float:
+    """np.median of a non-empty 1-D array without NaN, from one np.partition.
+
+    The middle element, or the mean (a + b) / 2 of the middle two: the value
+    np.median computes after the same partition.
+    """
+    half = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, half)[half])
+    lo, hi = np.partition(a, (half - 1, half))[half - 1 : half + 1]
+    return (float(lo) + float(hi)) / 2.0
 
 
 def _certified(p: Prior, q: np.ndarray, t: int) -> AmplitudePlan:

@@ -7,6 +7,7 @@ believed probability that the unique searched-for item sits at index i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,10 @@ class Prior:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise InvalidInput("prior needs a non-empty 1-D weight vector")
-        if not np.all(np.isfinite(w)):
+        lo, hi = w.min(), w.max()  # NaN and +-inf reach one of the two
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInput("prior weights must be finite")
-        if np.any(w < 0.0):
+        if lo < 0.0:
             raise InvalidInput("prior weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > NORM_TOL:
             raise InvalidInput(

@@ -5,6 +5,7 @@ and wall-clock budget; run with ``pytest -s`` to see the verdict table.
 """
 
 import csv
+import hashlib
 import math
 import time
 
@@ -33,6 +34,9 @@ from qsearch import (
 )
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
+
+#: md5 of the default compare CSV (n=512, 100 samples, t=1..22, seed 42).
+SWEEP_CSV_MD5 = "29504789faf42e468e84f0795f3cd50e"
 
 
 def _verdict(index, label, ok):
@@ -186,6 +190,9 @@ def test_criterion_09_baseline_sweep(tmp_path):
             ]
         )
         assert code == 0  # exit 4 would mean an ordering violation in some sample
+        # The CSV's bytes move only with a CHANGES.md entry that shows the
+        # duality gaps of the plans that moved them.
+        assert hashlib.md5(out.read_bytes()).hexdigest() == SWEEP_CSV_MD5
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 88

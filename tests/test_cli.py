@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsearch
@@ -215,6 +216,74 @@ def test_compare_injected_prior_must_match_n(tmp_path):
 def test_compare_rejects_bad_ranges(tmp_path, overrides):
     args = ["compare", "--out", str(tmp_path / "x.csv"), "--samples", "1", "--n", "4", *overrides]
     assert cli.main(args) == 2
+
+
+# NumPy's pairwise summation regroups at 8 and 128 terms.
+STAT_SAMPLES = (1, 2, 7, 8, 9, 127, 128, 129)
+STAT_T = [1, 2, 3]
+
+
+@pytest.fixture(scope="module")
+def sampled_methods():
+    """_sample_methods of compare --n 16 --seed 11 --t-max 3, samples 0..128."""
+    return [
+        cli._sample_methods(qsearch.sample_random_prior(16, 11 ^ s), STAT_T)
+        for s in range(max(STAT_SAMPLES))
+    ]
+
+
+@pytest.mark.parametrize("samples", STAT_SAMPLES)
+def test_compare_statistics_have_the_bits_of_each_column(tmp_path, samples, sampled_methods):
+    # The reference is a mean and a std per (samples,) column of the
+    # (samples, t, method) array.  A reduction along that strided axis of
+    # the whole array adds the samples one by one instead of pairwise.
+    out = tmp_path / "stats.csv"
+    argv = ["compare", "--n", "16", "--samples", str(samples), "--t-max", "3", "--seed", "11"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    values = np.asarray(sampled_methods[:samples])
+    expected = []
+    for ti, t in enumerate(STAT_T):
+        for mi, method in enumerate(qsearch.METHODS):
+            col = values[:, ti, mi]
+            expected.append(
+                f"{t},{method},{float(col.mean())!r},{float(col.std())!r},{samples},11"
+            )
+    assert out.read_text().splitlines()[1:] == expected
+
+
+def test_the_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    build = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+
+    def fresh(argv):
+        """main's work with a parser built for this call alone."""
+        args = build().parse_args(argv)
+        return args.func(args)
+
+    assert fresh(compare_args(tmp_path, "fresh.csv")) == 0
+    expected = (tmp_path / "fresh.csv").read_bytes()
+    prior = write_prior(tmp_path, new_prior([0.3, 0.25, 0.2, 0.15, 0.06, 0.04]))
+    assert cli.main(compare_args(tmp_path, "injected.csv", ("--prior", str(prior)))) == 0
+    assert cli.main(compare_args(tmp_path, "sampled.csv")) == 0
+    assert (tmp_path / "sampled.csv").read_bytes() == expected
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(compare_args(tmp_path, "x.csv", ("--n", "six")))
+    assert exc.value.code == 2
+    assert cli.main(compare_args(tmp_path, "after-error.csv")) == 0
+    assert (tmp_path / "after-error.csv").read_bytes() == expected
+
+    assert cli.main(VERIFY_FAST) == 0
+    capsys.readouterr()
+    optimize = ["optimize", "--prior", str(prior), "--t", "2", "--out"]
+    assert cli.main([*optimize, str(tmp_path / "reused.json")]) == 0
+    reused = capsys.readouterr().out
+    assert fresh([*optimize, str(tmp_path / "fresh.json")]) == 0
+    assert capsys.readouterr().out == reused
+    assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert built == [1]  # main built one parser for all of these calls
 
 
 def test_theta_table(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -550,6 +551,46 @@ def test_waterfill_spends_few_evaluations_per_solve(monkeypatch):
             assert converged
             solves += 1
     assert len(calls) / solves <= 8
+
+
+def test_waterfill_carries_the_active_set_until_it_changes(monkeypatch):
+    # On Zipf 1/i^1.1 at t=16 the active set grows and then shrinks after the
+    # chord start and then stays put: an evaluation after each change sees
+    # the re-gathered set, the ones after it the carried one.
+    p = new_prior(1.0 / np.arange(1, 4097) ** 1.1)
+    calls = counted_evaluations(monkeypatch)
+    plan = optimize(p, 16)
+    assert calls == [844, 1070, 1030, 1028, 1028, 1028, 1028]
+    assert plan.meta["kkt_residual"] <= 1e-9
+    assert duality_gap(p.weights, plan.q, 16) <= 1e-14
+
+
+def plan_digest(cases):
+    """sha256 over the bytes of optimize(p, t).q, case by case."""
+    digest = hashlib.sha256()
+    for p, t in cases:
+        digest.update(optimize(p, t).q.tobytes())
+    return digest.hexdigest()
+
+
+# plan_digest of each family below.  A digest moves only with a CHANGES.md
+# entry that shows the duality gaps of the plans that moved it.
+PLAN_DIGESTS = {
+    "sweep": "9f8777ffb5b544184c13a7d6a947823abd30d5c5b3a651b054bee49d0be79609",
+    "zipf-4096": "e76abb33b56adbb08ecfb5045684edf19b186f8afdf69246855f40dde8623948",
+    "geomspace": "7de3a1b4a92690202ab4bda2877f5c16612ec31c7faa3500806d61c4bddda8f7",
+}
+
+
+def test_plans_keep_their_bits():
+    sweep = [sample_random_prior(512, 42 ^ s) for s in range(10)]  # the seed-42 sweep's first ten
+    assert plan_digest((p, t) for p in sweep for t in range(1, 18)) == PLAN_DIGESTS["sweep"]
+    for name, weights in (
+        ("zipf-4096", 1.0 / np.arange(1, 4097) ** 1.1),
+        ("geomspace", np.geomspace(1.0, 1e-300, 200_000)),
+    ):
+        p = new_prior(weights)
+        assert plan_digest((p, t) for t in (1, 4, 16, 22)) == PLAN_DIGESTS[name], name
 
 
 def just_binding(n, t):

@@ -1,4 +1,11 @@
-"""Every integer argument goes through one rule: qsearch.errors.check_int."""
+"""Argument validation.
+
+Every integer argument goes through one rule, qsearch.errors.check_int, and
+the two constructors check their vectors for finiteness before range.
+"""
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +13,7 @@ import pytest
 from qsearch import (
     AmplitudePlan,
     InvalidInput,
+    Prior,
     lemma_a1_search,
     ranking_baseline,
     sample_random_prior,
@@ -48,3 +56,55 @@ def test_integer_arguments_are_validated(name, bad):
 def test_numpy_integers_are_accepted(name):
     call, minimum = CALLS[name]
     call(np.int64(minimum + 1))
+
+
+NAN, INF = math.nan, math.inf
+
+# entries -> the message AmplitudePlan(q=entries) raises with.
+PLAN_FINITE = "plan amplitudes must be finite"
+PLAN_RANGE = "plan amplitudes must lie in [0, 1]"
+BAD_PLANS = [
+    ([0.1, NAN], PLAN_FINITE),
+    ([INF, 0.1], PLAN_FINITE),
+    ([0.1, -INF, 0.2], PLAN_FINITE),
+    ([-0.5, NAN], PLAN_FINITE),  # finite is checked before range
+    ([NAN, 2.0], PLAN_FINITE),
+    ([INF, -1.0], PLAN_FINITE),
+    ([1.5, -INF], PLAN_FINITE),
+    ([0.2, -0.1], PLAN_RANGE),
+    ([1.5], PLAN_RANGE),  # before its sum
+    ([0.0, 1.0 + 2.0**-52], PLAN_RANGE),
+]
+
+PRIOR_FINITE = "prior weights must be finite"
+PRIOR_SIGN = "prior weights must be non-negative"
+BAD_PRIORS = [
+    ([0.5, 0.5, NAN], PRIOR_FINITE),
+    ([INF, 0.5], PRIOR_FINITE),
+    ([0.5, -INF, 0.5], PRIOR_FINITE),
+    ([-0.5, 1.5, NAN], PRIOR_FINITE),  # finite is checked before sign
+    ([NAN, -1.0], PRIOR_FINITE),
+    ([-INF, 2.0], PRIOR_FINITE),
+    ([INF, -1.0], PRIOR_FINITE),
+    ([1.5, -0.5], PRIOR_SIGN),  # sums to 1
+    ([2.0], "prior weights must sum to 1"),
+]
+
+
+@pytest.mark.parametrize("entries, message", BAD_PLANS, ids=repr)
+def test_plan_constructor_rejects(entries, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        AmplitudePlan(q=np.array(entries), t=1)
+
+
+@pytest.mark.parametrize("entries, message", BAD_PRIORS, ids=repr)
+def test_prior_constructor_rejects(entries, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        Prior(weights=np.array(entries))
+
+
+def test_constructors_accept_negative_zero():
+    plan = AmplitudePlan(q=np.array([-0.0, 0.5]), t=1)
+    assert plan.q.tolist() == [0.0, 0.5]
+    prior = Prior(weights=np.array([-0.0, 1.0]))
+    assert prior.weights.tolist() == [0.0, 1.0]
