@@ -6,12 +6,19 @@ Two oracles, both deliberately ignorant of the water-filling solver:
   ascent over the uncapped simplex with the success curve clamped at 1 —
   agreement with the optimizer's ESP certifies that the per-item cap does
   not reduce the attainable maximum.  All seeds ascend together as one
-  (seeds x n) array, each row with its own line search and stopping rule;
+  (seeds x n) array, each row with its own line search and stopping rule,
+  and the line search tries its step halvings in blocks;
 * an exhaustive grid search over per-step amplitude allocations, checking
   that letting every query use a different allocation never beats reusing
   one fixed allocation by more than grid slack.  f^2 is evaluated once per
   tuple of per-step grid levels, and every allocation sequence reads its
-  coordinates from that table.
+  coordinates from that table.  The winners are refined by pairwise mass
+  transfers, each sweep's candidate transfers evaluated as one stack.
+
+Objectives are weighted sums taken with ``np.vecdot``, which calls BLAS
+ddot once per row and so gives each row the bits of ``w @ row``; a
+matrix-vector product sums some rows in another order, which would make a
+bound's bits depend on the batch it was evaluated in.
 
 Desk-scale caps keep both exact-ish searches cheap: n <= 8 / t <= 3 for the
 ascent, n <= 3 / m <= 3 / step >= 0.02 for the grid.
@@ -40,6 +47,9 @@ ASCENT_RESTARTS = 32
 _ASCENT_SEED = 0x0B5E55ED
 _CONVERGENCE_TOL = 1e-10
 _MAX_ASCENT_STEPS = 5000
+#: Step halvings the ascent tries together, as block edges: 0 | 1 | 2 | 3 | 4-7 | 8-59.
+#: Most steps are accepted at two halvings; a row that fails them all runs to 60.
+_HALVING_BLOCKS = (0, 1, 2, 3, 4, 8, 60)
 
 
 @dataclass(frozen=True)
@@ -72,11 +82,11 @@ def _clamped(angles: np.ndarray) -> np.ndarray:
 def _objective(w: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     """sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 with the clamp applied, per row of r.
 
-    One ``w @ row`` dot product per row: a matrix-vector product sums some
-    rows in another order, so the bound's bits would depend on the batch.
+    ``np.vecdot`` takes one BLAS ddot per row, the bits of ``w @ row``: a
+    matrix-vector product sums some rows in another order, so the bound's
+    bits would depend on the batch.
     """
-    vals = _clamped(k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0))))
-    return np.array([w @ row for row in vals])
+    return np.vecdot(_clamped(k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0)))), w)
 
 
 def _project(r: np.ndarray) -> np.ndarray:
@@ -101,11 +111,14 @@ def _ascend(w: np.ndarray, r0: np.ndarray, t: int):
 
     A row stops when its full step's projection moves it less than
     _CONVERGENCE_TOL, when 60 halvings of its step gain nothing, or after
-    _MAX_ASCENT_STEPS steps.
+    _MAX_ASCENT_STEPS steps.  Each block of _HALVING_BLOCKS projects and
+    evaluates its halvings of every pending row as one stack, and a row takes
+    its first improving halving, as trying them one at a time would.
     """
     k = 2 * t + 1
     c = cap(t)
     r = _project(np.asarray(r0, dtype=np.float64))
+    n = r.shape[1]
     value = _objective(w, r, k)
     live = np.arange(r.shape[0])
     for _ in range(_MAX_ASCENT_STEPS):
@@ -114,23 +127,27 @@ def _ascend(w: np.ndarray, r0: np.ndarray, t: int):
         grad = np.where(rows < c, w * marginal(rows, t), 0.0)
         # The full step's projection is both the convergence test and the first candidate.
         candidate = _project(rows + grad)
-        moving = ~np.array(
-            [float(np.linalg.norm(d)) < _CONVERGENCE_TOL for d in candidate - rows], dtype=bool
-        )
-        live, rows, grad, candidate = live[moving], rows[moving], grad[moving], candidate[moving]
+        d = candidate - rows
+        moving = ~(np.sqrt(np.vecdot(d, d)) < _CONVERGENCE_TOL)
+        live, rows, grad = live[moving], rows[moving], grad[moving]
+        trial = candidate[moving][None]
         # Rows still searching for an ascent step, as indices into live.
         pending = np.arange(live.size)
-        for halvings in range(60):
+        for lo, hi in zip(_HALVING_BLOCKS, _HALVING_BLOCKS[1:]):
             if not pending.size:
                 break
-            if halvings:
-                candidate[pending] = _project(rows[pending] + 0.5**halvings * grad[pending])
-            cand_value = _objective(w, candidate[pending], k)
-            up = cand_value > value[live[pending]]
-            accepted = pending[up]
-            r[live[accepted]] = candidate[accepted]
-            value[live[accepted]] = cand_value[up]
-            pending = pending[~up]
+            if lo:
+                scales = np.array([0.5**h for h in range(lo, hi)])[:, None, None]
+                trial = _project((rows[pending] + scales * grad[pending]).reshape(-1, n))
+                trial = trial.reshape(hi - lo, pending.size, n)
+            trial_value = _objective(w, trial.reshape(-1, n), k).reshape(trial.shape[:2])
+            up = trial_value > value[live[pending]]
+            hit = np.flatnonzero(up.any(axis=0))
+            first = up.argmax(axis=0)[hit]
+            accepted = live[pending[hit]]
+            r[accepted] = trial[first, hit]
+            value[accepted] = trial_value[first, hit]
+            pending = np.delete(pending, hit)
         # a row whose 60 halvings all failed is done
         live = np.delete(live, pending)
         if not live.size:
@@ -236,14 +253,20 @@ def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: i
     return best_value, best_flat
 
 
-def _alloc_objective(w: np.ndarray, alloc: np.ndarray) -> float:
-    """alloc has shape (m, n): one simplex allocation per query step."""
-    angles = np.arcsin(np.sqrt(np.clip(alloc, 0.0, 1.0))).sum(axis=0)
-    return float(w @ _clamped(angles))
+def _alloc_objective(w: np.ndarray, allocs: np.ndarray) -> np.ndarray:
+    """Value of each allocation in a (K, m, n) stack: one simplex allocation per query step."""
+    angles = np.arcsin(np.sqrt(np.clip(allocs, 0.0, 1.0))).sum(axis=1)
+    return np.vecdot(_clamped(angles), w)
 
 
 def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool):
     """Coordinate ascent by pairwise mass transfers, shrinking the step.
+
+    A sweep tries every transfer (row, i -> j) in order and takes each one
+    that improves the value.  The transfers still ahead in a sweep are built
+    from the current allocation and evaluated as one stack; the first
+    improving one is taken and the scan resumes after it, from the new
+    allocation, so the order of a one-at-a-time scan is kept.
 
     ``tied`` refines within the equal-allocation family: the same transfer is
     applied to every row so the rows stay identical, and its amount is read
@@ -251,28 +274,37 @@ def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool
     """
     alloc = alloc.copy()
     m, n = alloc.shape
-    rows = [slice(None)] if tied else [slice(r, r + 1) for r in range(m)]
-    value = _alloc_objective(w, alloc)
+    # every transfer (row, i -> j) in scan order, and the rows each one moves
+    row, i, j = np.array(
+        [(r, a, b) for r in range(1 if tied else m) for a in range(n) for b in range(n) if a != b],
+        dtype=np.intp,
+    ).reshape(-1, 3).T
+    moves = np.broadcast_to(np.arange(m), (row.size, m)) if tied else row[:, None]
+    value = float(_alloc_objective(w, alloc[None])[0])
     delta = step0
     sweeps = 0
     while delta > 1e-10 and sweeps < 500:
         sweeps += 1
         improved = False
-        for row in rows:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    amount = min(delta, float(alloc[row, i][0]))
-                    if amount <= 0.0:
-                        continue
-                    moved = alloc.copy()
-                    moved[row, i] -= amount
-                    moved[row, j] += amount
-                    cand = _alloc_objective(w, moved)
-                    if cand > value + 1e-15:
-                        alloc, value = moved, cand
-                        improved = True
+        start = 0
+        while start < row.size:
+            amount = np.minimum(delta, alloc[row[start:], i[start:]])
+            ahead = np.flatnonzero(amount > 0.0)
+            if not ahead.size:
+                break
+            amount = amount[ahead, None]
+            ahead += start
+            cand = np.broadcast_to(alloc, (ahead.size, m, n)).copy()
+            stack = np.arange(ahead.size)[:, None]
+            cand[stack, moves[ahead], i[ahead, None]] -= amount
+            cand[stack, moves[ahead], j[ahead, None]] += amount
+            values = _alloc_objective(w, cand)
+            up = np.flatnonzero(values > value + 1e-15)
+            if not up.size:
+                break
+            alloc, value = cand[up[0]], float(values[up[0]])
+            improved = True
+            start = ahead[up[0]] + 1
         if not improved:
             delta *= 0.5
     return value, alloc

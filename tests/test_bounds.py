@@ -1,4 +1,7 @@
+import collections
 import contextlib
+import functools
+import hashlib
 import io
 import math
 from types import SimpleNamespace
@@ -170,24 +173,54 @@ def report_bits(report):
     return repr(report.bound_value), repr(report.residual), repr(report.achiever)
 
 
-def verify_ascent_inputs(monkeypatch):
-    """The (prior, t) pairs `qsearch verify --seed 0..2` bounds, recorded by a stub."""
-    calls = []
+@functools.cache
+def verify_bound_inputs(seeds):
+    """The arguments `qsearch verify --seed S` passes each bound, S in seeds, recorded by stubs.
 
-    def record(*args):
-        calls.append(args)
-        return SimpleNamespace(residual=0.0)
+    Returns (ascent, grid): the (prior, t) and (prior, m, step) tuples.
+    """
+    ascent, grid = [], []
 
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "theorem_a2_bound", record)
-        for seed in range(3):
+    def recorder(calls):
+        def record(*args):
+            calls.append(args)
+            return SimpleNamespace(residual=0.0)
+
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "theorem_a2_bound", recorder(ascent))
+        patch.setattr(cli, "lemma_a1_search", recorder(grid))
+        for seed in seeds:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(["verify", "--seed", str(seed)])
-    return calls
+    return tuple(ascent), tuple(grid)
 
 
-def reference_ascend(w, r0, t):
-    """Unbatched form of bounds._ascend: each seed ascends on its own."""
+def criterion_05_inputs():
+    rng = np.random.Generator(np.random.PCG64(501))
+    cases = []
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        t = int(rng.integers(1, 4))
+        cases.append((sample_random_prior(n, int(rng.integers(0, 2**63))), t))
+    return cases
+
+
+def criterion_06_inputs():
+    rng = np.random.Generator(np.random.PCG64(601))
+    return [
+        (sample_random_prior(3, int(rng.integers(0, 2**63))), 3 if index % 2 == 0 else 2, 0.05)
+        for index in range(5)
+    ]
+
+
+def reference_ascend(w, r0, t, halvings_taken):
+    """Unbatched form of bounds._ascend: each seed ascends on its own.
+
+    ``halvings_taken`` counts the steps accepted after each number of step
+    halvings, with 60 for a row dropped after 60 failed halvings.
+    """
 
     def project(r):
         r = np.minimum(r, 1.0)
@@ -219,23 +252,19 @@ def reference_ascend(w, r0, t):
                     r, value = candidate, cand_value
                     break
             else:
+                halvings_taken[60] += 1
                 break
+            halvings_taken[halvings] += 1
         values.append(value)
         rows.append(r)
     return values, np.array(rows)
 
 
-def ascent_cases(kind, monkeypatch):
+def ascent_cases(kind):
     if kind == "criterion-05":
-        rng = np.random.Generator(np.random.PCG64(501))
-        cases = []
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            t = int(rng.integers(1, 4))
-            cases.append((sample_random_prior(n, int(rng.integers(0, 2**63))), t))
-        return cases
+        return criterion_05_inputs()
     if kind == "verify":
-        return verify_ascent_inputs(monkeypatch)
+        return verify_bound_inputs((0, 1, 2))[0]
     shapes = {
         "uniform": np.ones,
         "geometric": lambda n: np.geomspace(1.0, 1e-12, n),
@@ -250,12 +279,21 @@ def test_batched_ascent_matches_one_seed_at_a_time(kind, monkeypatch):
         # Some seeds crawl on these priors until the step cap, which takes
         # minutes one seed at a time; a short cap keeps that exit compared.
         monkeypatch.setattr(bounds, "_MAX_ASCENT_STEPS", 20)
-    for p, t in ascent_cases(kind, monkeypatch):
+    halvings_taken = collections.Counter()
+    for p, t in ascent_cases(kind):
         batched = report_bits(theorem_a2_bound(p, t))
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "_ascend", reference_ascend)
+            patch.setattr(
+                bounds, "_ascend", functools.partial(reference_ascend, halvings_taken=halvings_taken)
+            )
             reference = report_bits(theorem_a2_bound(p, t))
         assert batched == reference, (p.weights.tolist(), t)
+    if kind == "verify":
+        # The halvings are tried in blocks (bounds._HALVING_BLOCKS); these
+        # cases compare the last block both ways: a step accepted inside it
+        # and a row that fails all 60 halvings.
+        assert max(h for h in halvings_taken if h < 60) >= bounds._HALVING_BLOCKS[-2]
+        assert halvings_taken[60] > 0
 
 
 def reference_unrestricted(w, arcs, m):
@@ -306,7 +344,140 @@ def test_level_table_matches_per_chunk_enumeration(n, m, step):
 
 
 def test_level_table_matches_on_criterion_06_priors():
-    rng = np.random.Generator(np.random.PCG64(601))
-    for index in range(5):
-        p = sample_random_prior(3, int(rng.integers(0, 2**63)))
-        check_level_table(p.weights, 3 if index % 2 == 0 else 2, 0.05)
+    for p, m, step in criterion_06_inputs():
+        check_level_table(p.weights, m, step)
+
+
+def report_digest(reports):
+    """sha256 over repr(bound_value), repr(residual) and achiever bytes, report by report."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(repr(report.bound_value).encode())
+        digest.update(repr(report.residual).encode())
+        digest.update(report.achiever.tobytes())
+    return digest.hexdigest()
+
+
+# report_digest of every report `verify --seed 0..2` and criteria 05 / 06
+# make, one digest per bound.  A digest moves only with a CHANGES.md entry
+# that explains the bits that moved it.
+BOUND_DIGESTS = {
+    "ascent": "d464c2b326f525ea5ac2c4a53bbbabe1666ec6d245b9197efb144b75670e4376",
+    "grid": "008981a593f40d6d282d79a550be08d1aa1586fc3ee73791aa0bd9a61b2d0782",
+}
+
+
+def test_bound_reports_keep_their_bits():
+    ascent, grid = verify_bound_inputs((0, 1, 2))
+    ascent_cases = list(ascent) + criterion_05_inputs()
+    grid_cases = list(grid) + criterion_06_inputs()
+    assert report_digest(theorem_a2_bound(*args) for args in ascent_cases) == BOUND_DIGESTS["ascent"]
+    assert report_digest(lemma_a1_search(*args) for args in grid_cases) == BOUND_DIGESTS["grid"]
+
+
+def reference_refine(w, alloc, step0, tied):
+    """bounds._refine_transfers one candidate transfer at a time."""
+
+    def objective(a):
+        angles = np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))).sum(axis=0)
+        return float(w @ bounds._clamped(angles))
+
+    alloc = alloc.copy()
+    m, n = alloc.shape
+    rows = [slice(None)] if tied else [slice(r, r + 1) for r in range(m)]
+    value = objective(alloc)
+    delta = step0
+    sweeps = 0
+    while delta > 1e-10 and sweeps < 500:
+        sweeps += 1
+        improved = False
+        for row in rows:
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    amount = min(delta, float(alloc[row, i][0]))
+                    if amount <= 0.0:
+                        continue
+                    moved = alloc.copy()
+                    moved[row, i] -= amount
+                    moved[row, j] += amount
+                    cand = objective(moved)
+                    if cand > value + 1e-15:
+                        alloc, value = moved, cand
+                        improved = True
+        if not improved:
+            delta *= 0.5
+    return value, alloc
+
+
+def refinement_inputs(searches):
+    """The arguments of every _refine_transfers call the given grid searches make."""
+    calls = []
+    refine = bounds._refine_transfers
+
+    def record(w, alloc, step0, tied):
+        calls.append((w, alloc.copy(), step0, tied))
+        return refine(w, alloc, step0, tied)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_refine_transfers", record)
+        for args in searches:
+            lemma_a1_search(*args)
+    return calls
+
+
+def refinement_cases(kind):
+    if kind == "verify":
+        return refinement_inputs(verify_bound_inputs(tuple(range(6)))[1])
+    if kind == "criterion-06":
+        return refinement_inputs(criterion_06_inputs())
+    if kind == "thirds":
+        return refinement_inputs(
+            (new_prior([1.0, 1.0, 1.0]), m, step) for m in (1, 2, 3) for step in (0.04, 0.05)
+        )
+    priors = [new_prior([1.0, 0.0, 0.0]), new_prior([1.0, 1.0, 0.0]), sample_random_prior(2, 42)]
+    return refinement_inputs((p, m, 0.05) for p in priors for m in (1, 2, 3))
+
+
+@pytest.mark.parametrize("kind", ["verify", "criterion-06", "thirds", "edges"])
+def test_stacked_refinement_matches_one_transfer_at_a_time(kind):
+    cases = refinement_cases(kind)
+    assert {tied for *_, tied in cases} == {True, False}
+    for w, alloc, step0, tied in cases:
+        value, refined = bounds._refine_transfers(w, alloc, step0, tied)
+        ref_value, ref_refined = reference_refine(w, alloc, step0, tied)
+        assert repr(value) == repr(ref_value), (w.tolist(), alloc.tolist(), step0, tied)
+        assert refined.tobytes() == ref_refined.tobytes(), (w.tolist(), alloc.tolist(), step0, tied)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_vecdot_is_one_dot_per_row(n):
+    # bounds._objective and the transfer refinement take one np.vecdot over
+    # their rows for the bits of `w @ row` on each: both call BLAS ddot once
+    # per row.  A matrix-vector product, einsum or (V * w).sum(1) sum in
+    # another order (OpenBLAS's ddot uses FMA) and would move the bounds.
+    # The ascent's stopping rule takes sqrt(vecdot(d, d)) for the bits of
+    # np.linalg.norm(d) on the rows of a fresh difference d.
+    rng = np.random.Generator(np.random.PCG64(n))
+    wide = rng.choice([-1.0, 1.0], (5000, 2 * n)) * 10.0 ** rng.uniform(-300.0, 5.0, (5000, 2 * n))
+    w = rng.random(n) * 10.0 ** rng.uniform(-300.0, 5.0, n)
+    layouts = {
+        "contiguous": np.ascontiguousarray(wide[:, :n]),
+        "row-strided": wide[:, :n],
+        "strided": wide[:, ::2],
+    }
+    for layout, rows in layouts.items():
+        dots = np.array([w @ row for row in rows])
+        assert np.vecdot(rows, w).tobytes() == dots.tobytes(), (
+            f"np.vecdot no longer has the bits of `w @ row` on {layout} rows at n={n}; "
+            f"NumPy {np.__version__} or its BLAS changed how it sums"
+        )
+        if layout == "strided":
+            # norm copies a strided row first, and ddot sums a copy in another order
+            continue
+        norms = np.array([np.linalg.norm(row) for row in rows])
+        assert np.sqrt(np.vecdot(rows, rows)).tobytes() == norms.tobytes(), (
+            f"sqrt(np.vecdot(d, d)) no longer has the bits of np.linalg.norm on {layout} rows "
+            f"at n={n}; NumPy {np.__version__} or its BLAS changed"
+        )

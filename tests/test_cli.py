@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -319,6 +320,22 @@ def test_verify_passes(capsys):
         "speedup",
     ]
     assert all(" PASS " in line for line in lines)
+
+
+# md5 of `verify --seed S` stdout at the defaults.  These move only with a
+# CHANGES.md entry that explains the bits that moved them.
+VERIFY_STDOUT_MD5 = {
+    0: "07b2fb0bbf22f805d8ba6168ed1fb182",
+    1: "fe7d2894801585ad67e8ea2ef6113485",
+    2: "f5af15c1c4d0c60f8f7b2ea2e7b17ac8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT_MD5))
+def test_verify_stdout_keeps_its_bits(seed, capsys):
+    assert cli.main(["verify", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == VERIFY_STDOUT_MD5[seed]
 
 
 def test_verify_inverted_oracle_fails(capsys, monkeypatch):
