@@ -55,7 +55,6 @@ from .simulator import (
     MAX_QUBITS,
     Gate,
     GateCircuit,
-    StateVector,
     prepare_state,
     run_gate_circuit,
     run_iterations,
@@ -77,7 +76,6 @@ __all__ = [
     "Prior",
     "REFERENCE_THETA",
     "ResourceLimit",
-    "StateVector",
     "block_amplitude",
     "build_halfhalf_circuit",
     "cap",

@@ -1,4 +1,4 @@
-"""Exact statevector simulation.
+"""Exact statevector simulation in real (float64) arithmetic.
 
 Two executable forms are covered, both exact (no sampling, no noise):
 
@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, ResourceLimit
-from .esp import PLAN_SUM_TOL, AmplitudePlan
+from .esp import AmplitudePlan
 
 #: Largest gate-level register; dense vectors stay desk-sized below this.
 MAX_QUBITS = 12
@@ -34,24 +34,6 @@ _GATE_ARITY = {"h": 1, "x": 1, "z": 1, "ry": 1, "ccz": 3}
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes over the sink-plus-items basis (unit norm)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.ndim != 1 or a.size < 2:
-            raise InvalidInput("state needs a sink plus at least one item")
-        norm = float(np.sum(np.abs(a) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidInput(f"state norm^2 = {norm!r}, expected 1")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
 
 
 @dataclass(frozen=True)
@@ -108,15 +90,13 @@ class GateCircuit:
         object.__setattr__(self, "gates", gates)
 
 
-def prepare_state(plan: AmplitudePlan) -> StateVector:
-    """Initial state (sqrt(1-sum q), sqrt(q_1), ..., sqrt(q_N))."""
-    total = float(plan.q.sum())
-    if total > 1.0 + PLAN_SUM_TOL:
-        raise InvalidInput(f"plan amplitudes sum to {total!r} > 1")
-    amps = np.empty(plan.n + 1, dtype=np.complex128)
-    amps[0] = math.sqrt(max(0.0, 1.0 - total))
-    amps[1:] = np.sqrt(plan.q)
-    return StateVector(amplitudes=amps)
+def prepare_state(plan: AmplitudePlan) -> np.ndarray:
+    """Initial state (sqrt(1-sum q), sqrt(q_1), ..., sqrt(q_N)), read-only."""
+    s = np.empty(plan.n + 1)
+    s[0] = math.sqrt(max(0.0, 1.0 - float(plan.q.sum())))
+    s[1:] = np.sqrt(plan.q)
+    s.setflags(write=False)
+    return s
 
 
 def run_iterations(plan: AmplitudePlan, x: int) -> float:
@@ -129,7 +109,7 @@ def run_iterations(plan: AmplitudePlan, x: int) -> float:
     """
     if not 1 <= x <= plan.n:
         raise InvalidInput(f"item index must be in [1, {plan.n}], got {x}")
-    s = prepare_state(plan).amplitudes.real.copy()
+    s = prepare_state(plan)
     a = s.copy()
     for _ in range(plan.t):
         a[x] = -a[x]
@@ -140,7 +120,7 @@ def run_iterations(plan: AmplitudePlan, x: int) -> float:
     return float(a[x]) ** 2
 
 
-def _apply_gate(psi: np.ndarray, gate: Gate, k: int) -> np.ndarray:
+def _apply_gate(psi: np.ndarray, gate: Gate) -> np.ndarray:
     if gate.kind == "ccz":
         qa, qb, qc = gate.qubits
         idx = np.arange(psi.size)
@@ -163,10 +143,9 @@ def _apply_gate(psi: np.ndarray, gate: Gate, k: int) -> np.ndarray:
             ]
         )
     (target,) = gate.qubits
-    axis = k - 1 - target  # reshape puts qubit k-1 on the first axis
-    tensor = np.moveaxis(psi.reshape([2] * k), axis, 0)
-    tensor = np.tensordot(u, tensor, axes=([1], [0]))
-    return np.moveaxis(tensor, 0, axis).reshape(-1)
+    # (high bits, target bit, low bits): u acts on the middle axis.
+    view = psi.reshape(-1, 2, 1 << target)
+    return np.moveaxis(np.tensordot(u, view, axes=([1], [1])), 0, 1).reshape(-1)
 
 
 def run_gate_circuit(circuit: GateCircuit) -> np.ndarray:
@@ -174,13 +153,13 @@ def run_gate_circuit(circuit: GateCircuit) -> np.ndarray:
     k = circuit.qubit_count
     if k > MAX_QUBITS:
         raise ResourceLimit(f"{k} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    psi = np.zeros(2**k, dtype=np.complex128)
+    psi = np.zeros(2**k)
     psi[0] = 1.0
     for gate in circuit.gates:
-        psi = _apply_gate(psi, gate, k)
-        norm = float(np.sum(np.abs(psi) ** 2))
+        psi = _apply_gate(psi, gate)
+        norm = float(psi @ psi)
         if abs(norm - 1.0) > _NORM_TOL:
             raise NumericalFailure(
                 f"gate {gate.kind} on {gate.qubits} lost unitarity: norm^2 = {norm!r}"
             )
-    return np.abs(psi) ** 2
+    return psi * psi

@@ -169,6 +169,8 @@ def test_qasm_round_trip_without_label():
     recovered = parse_qasm(emit_qasm(circuit))
     assert recovered == circuit
     assert recovered.solution_label == ""
+    # a plain comment line is skipped
+    assert parse_qasm(emit_qasm(circuit).replace("\nh ", "\n// note\nh ", 1)) == circuit
 
 
 def test_qasm_emit_register_cap():
@@ -185,6 +187,8 @@ def test_qasm_emit_register_cap():
         "qreg q[3];\nccx q[0],q[1],q[2];\n",
         "qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\n",
         "qreg q[3];\nry(bad) q[0];\n",
+        "qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\nccx q[0],q[1],q[2];\n",  # ccx in a sandwich
+        "qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\nry(0.5) q[2];\n",  # ry in a sandwich
     ],
 )
 def test_qasm_parse_rejects(text):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,16 @@ import pytest
 
 import qsearch
 import qsearch.cli as cli
-from qsearch import NumericalFailure, parse_qasm, run_gate_circuit, save_prior, new_prior
+from qsearch import (
+    AmplitudePlan,
+    NumericalFailure,
+    new_prior,
+    parse_qasm,
+    run_gate_circuit,
+    save_prior,
+)
+from qsearch import bounds
+from qsearch import circuits as qc
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 
@@ -345,6 +355,60 @@ def test_verify_inverted_oracle_fails(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 4
     assert any(line.startswith("oracle-equivalence") and " FAIL " in line for line in out.splitlines())
+
+
+def scaled_plans(solve, factor):
+    def scaled(p, t):
+        plan = solve(p, t)
+        return AmplitudePlan(q=plan.q * factor, t=plan.t, meta=plan.meta)
+
+    return scaled
+
+
+def lowered_when_tied(refine):
+    def lowered(w, alloc, step0, tied):
+        value, best = refine(w, alloc, step0, tied)
+        return (value - 0.2 if tied else value), best
+
+    return lowered
+
+
+def unclamped(angles):
+    return np.sin(angles) ** 2
+
+
+# (failing check, module, attribute, fault built from the original, argv)
+VERIFY_FAULTS = {
+    "kkt-certificate": (cli, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST),
+    "ascent-bound": (bounds, "_clamped", lambda f: unclamped, VERIFY_FAST),
+    "allocation-grid": (bounds, "_refine_transfers", lowered_when_tied, VERIFY_FAST),
+    "robustness": (cli, "l1_distance", lambda f: lambda p, q: 0.0, ["verify"]),
+    "speedup": (cli, "speedup_plan", lambda f: scaled_plans(f, 0.999), VERIFY_FAST),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FAULTS))
+def test_verify_fault_fails_its_own_check(name, capsys, monkeypatch):
+    module, attr, fault, argv = VERIFY_FAULTS[name]
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    code = cli.main(argv)
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    assert code == 4
+    assert failed == [name]
+
+
+def test_compare_fails_on_a_method_ordering_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ranking_baseline", lambda p, t: types.SimpleNamespace(value=1.0))
+    assert cli.main(compare_args(tmp_path, "sweep.csv")) == 4
+    assert "method ordering violated" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_theta_table_fails_beyond_the_tolerance(tmp_path, capsys, monkeypatch):
+    shifted = tuple((sigma, theta + 0.01) for sigma, theta in qc.REFERENCE_THETA)
+    monkeypatch.setattr(qc, "REFERENCE_THETA", shifted)
+    assert cli.main(["theta-table", "--out", str(tmp_path / "theta.csv")]) == 4
+    assert "exceeded the 1e-3 tolerance" in capsys.readouterr().err
 
 
 def test_verify_rejects_empty_suite():

@@ -238,6 +238,8 @@ def test_kkt_residual_flags_bad_plans():
     lopsided[p.weights.argmin()] = cap(2)
     bad = AmplitudePlan(q=lopsided, t=2)
     assert kkt_residual(p, bad) > 1e-3
+    with pytest.raises(InvalidInput):
+        kkt_residual(p, AmplitudePlan(q=good.q[:7], t=2))  # one item short
 
 
 def test_kkt_residual_on_slack_and_argmax_plans():
@@ -290,11 +292,12 @@ def test_load_plan_rejects_garbage(tmp_path):
         {"t": 1, "q": [0.5, 0.25], "esp": math.nan},
         {"t": 1, "q": [0.5, 0.25], "kkt_residual": math.inf},
         {"t": 1, "q": [0.5, 0.25], "esp": 0.5, "kkt_residual": -math.inf},
+        "not json",  # written as it is
     ],
 )
 def test_load_plan_rejects_entries_that_are_not_numbers(tmp_path, payload):
     path = tmp_path / "plan.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     with pytest.raises(InvalidInput):
         load_plan(path)
 
@@ -415,13 +418,41 @@ def test_extreme_priors_give_certified_plans(name, t, monkeypatch):
 
 @pytest.mark.parametrize("n, t", [(65536, 4), (14330, 2), (2211, 4)])
 def test_waterfill_converges_on_tied_weights(n, t):
-    # Tied weights round alike: the bracket closes to neighbouring floats with
-    # sum(q) just below the window, and that plan is the converged one.  At
-    # n=2211, t=4 the bracket reaches two floats wide, where its geometric
-    # mean rounds onto the lower end.
+    # Tied weights round alike, so sum(q) lands a few ulps below 1.  Each of
+    # these solves is accepted in the window after 2 iterations; no bracket
+    # closes.  test_waterfill_safeguards_keep_the_solution forces the closing.
     q, _, _, converged = waterfill(np.full(n, 1.0 / n), t)
     assert converged
     assert 1.0 - 1e-12 <= float(q.sum()) <= 1.0
+
+
+@pytest.mark.parametrize("case", ["tied-1000-3", "tied-2211-4", "far-chord"])
+def test_waterfill_safeguards_keep_the_solution(case, monkeypatch):
+    # The safeguards run only when the Newton path misses.  A window of just
+    # {1.0}, which tied weights cannot hit, moves both ends of the bracket,
+    # steps to neighbouring floats and past the ends, and returns when the
+    # bracket collapses.  A chord start 10x too high puts lam outside the
+    # bracket.  Each forced solve must still certify and keep the unforced
+    # solve's ESP.
+    if case == "far-chord":
+        w, t = sample_random_prior(512, 42).weights, 4
+    else:
+        n, t = (int(v) for v in case.split("-")[1:])
+        w = np.full(n, 1.0 / n)
+    p = new_prior(w)
+    unforced = esp(p, AmplitudePlan(q=waterfill(w, t)[0], t=t))
+    if case == "far-chord":
+        chord_level = optimizer._chord_level
+        monkeypatch.setattr(optimizer, "_chord_level", lambda s, c: 10.0 * chord_level(s, c))
+    else:
+        monkeypatch.setattr(optimizer, "_TOL", 1e-300)
+    q, _, _, converged = waterfill(w, t)
+    assert converged
+    if case != "far-chord":
+        assert float(q.sum()) < 1.0  # only the bracket's collapse returns this
+    plan = AmplitudePlan(q=q, t=t)
+    assert kkt_residual(p, plan) <= 1e-9
+    assert abs(esp(p, plan) - unforced) <= 1e-15
 
 
 def reference_plan(w, t):

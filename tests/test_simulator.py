@@ -10,7 +10,6 @@ from qsearch import (
     GateCircuit,
     InvalidInput,
     ResourceLimit,
-    StateVector,
     prepare_state,
     run_gate_circuit,
     run_iterations,
@@ -23,22 +22,15 @@ UNIFORM8 = AmplitudePlan(q=np.full(8, 0.125), t=1)
 
 def test_prepare_state_splits_mass():
     state = prepare_state(UNIFORM4)
-    assert state.amplitudes.size == 5
-    assert state.amplitudes[0] == 0.0
-    assert state.amplitudes[1:].real.tolist() == pytest.approx([0.5] * 4, abs=1e-15)
+    assert state.dtype == np.float64
+    assert state.size == 5
+    assert state[0] == 0.0
+    assert state[1:].tolist() == pytest.approx([0.5] * 4, abs=1e-15)
+    with pytest.raises(ValueError):
+        state[0] = 1.0  # read-only
 
     half = prepare_state(AmplitudePlan(q=np.array([0.3, 0.2]), t=2))
-    assert abs(half.amplitudes[0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-
-
-def test_statevector_validation():
-    with pytest.raises(InvalidInput):
-        StateVector(amplitudes=np.array([1.0]))
-    with pytest.raises(InvalidInput):
-        StateVector(amplitudes=np.array([0.5, 0.5]))  # norm^2 = 0.5
-    state = StateVector(amplitudes=np.array([0.6, 0.8]))
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 1.0
+    assert half[0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 def test_single_iteration_on_four_items_is_certain():

@@ -74,6 +74,7 @@ BAD_PLANS = [
     ([0.2, -0.1], PLAN_RANGE),
     ([1.5], PLAN_RANGE),  # before its sum
     ([0.0, 1.0 + 2.0**-52], PLAN_RANGE),
+    ([[0.25, 0.25]], "plan needs a non-empty 1-D amplitude vector"),
 ]
 
 PRIOR_FINITE = "prior weights must be finite"
@@ -88,6 +89,7 @@ BAD_PRIORS = [
     ([INF, -1.0], PRIOR_FINITE),
     ([1.5, -0.5], PRIOR_SIGN),  # sums to 1
     ([2.0], "prior weights must sum to 1"),
+    ([[0.5, 0.5]], "prior needs a non-empty 1-D weight vector"),
 ]
 
 
