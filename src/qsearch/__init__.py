@@ -10,12 +10,10 @@ exact simulation and independent brute-force bounds, and emits runnable
 from .bounds import BoundReport, lemma_a1_search, theorem_a2_bound
 from .circuits import (
     REFERENCE_THETA,
-    HalfHalfSpec,
     block_amplitude,
     build_halfhalf_circuit,
     emit_qasm,
     halfhalf_prior,
-    halfhalf_spec,
     in_high_block,
     parse_qasm,
     solution_outcome,
@@ -68,7 +66,6 @@ __all__ = [
     "EspReport",
     "Gate",
     "GateCircuit",
-    "HalfHalfSpec",
     "InvalidInput",
     "MAX_QUBITS",
     "METHODS",
@@ -82,7 +79,6 @@ __all__ = [
     "emit_qasm",
     "esp",
     "halfhalf_prior",
-    "halfhalf_spec",
     "in_high_block",
     "kernel_backend",
     "kkt_residual",

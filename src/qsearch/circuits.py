@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +27,7 @@ from .simulator import MAX_QUBITS, Gate, GateCircuit
 
 __all__ = [
     "REFERENCE_THETA",
-    "HalfHalfSpec",
     "halfhalf_prior",
-    "halfhalf_spec",
     "theta_for_sigma",
     "build_halfhalf_circuit",
     "emit_qasm",
@@ -56,29 +53,10 @@ REFERENCE_THETA = (
 _BLOCK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HalfHalfSpec:
-    """Deviation, marked solution, and the derived preparation angle."""
-
-    sigma: float
-    solution: str
-    theta: float
-
-    def __post_init__(self):
-        _check_sigma(self.sigma)
-        solution_outcome(self.solution)
-        if not 0.0 < self.theta <= math.pi:
-            raise InvalidInput(f"theta must lie in (0, pi], got {self.theta!r}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < 0.125:
-        raise InvalidInput(f"sigma must lie in [0, 1/8), got {sigma!r}")
-
-
 def halfhalf_prior(sigma: float) -> Prior:
     """The prior (1/8+sigma) x4, (1/8-sigma) x4."""
-    _check_sigma(sigma)
+    if not 0.0 <= sigma < 0.125:
+        raise InvalidInput(f"sigma must lie in [0, 1/8), got {sigma!r}")
     return new_prior([0.125 + sigma] * 4 + [0.125 - sigma] * 4)
 
 
@@ -111,11 +89,6 @@ def theta_for_sigma(sigma: float) -> float:
     return theta
 
 
-def halfhalf_spec(sigma: float, solution: str) -> HalfHalfSpec:
-    """Bundle sigma and a solution label with the derived angle."""
-    return HalfHalfSpec(sigma=sigma, solution=solution, theta=theta_for_sigma(sigma))
-
-
 def _prep(theta: float) -> list:
     return [Gate("h", (0,)), Gate("h", (1,)), Gate("ry", (2,), theta)]
 
@@ -127,25 +100,26 @@ def _oracle(solution: str) -> list:
     return flips + [Gate("ccz", (0, 1, 2))] + flips
 
 
-def build_halfhalf_circuit(spec: HalfHalfSpec) -> GateCircuit:
-    """One full Grover iteration for the half-half plan.
+def build_halfhalf_circuit(theta: float, solution: str) -> GateCircuit:
+    """One full Grover iteration for the half-half plan with angle theta.
 
     The diffusion block A (reflect about |000>) A-dagger equals the
     reflection about the prepared state, so the whole gate list implements
     exactly one optimal query.  Exactly two CCZs appear: one inside the
     oracle, one inside the reflection.
     """
+    solution_outcome(solution)
     all_x = [Gate("x", (qb,)) for qb in range(3)]
     gates = (
-        _prep(spec.theta)
-        + _oracle(spec.solution)
-        + [Gate("h", (0,)), Gate("h", (1,)), Gate("ry", (2,), -spec.theta)]
+        _prep(theta)
+        + _oracle(solution)
+        + [Gate("h", (0,)), Gate("h", (1,)), Gate("ry", (2,), -theta)]
         + all_x
         + [Gate("ccz", (0, 1, 2))]
         + all_x
-        + _prep(spec.theta)
+        + _prep(theta)
     )
-    return GateCircuit(qubit_count=3, gates=tuple(gates), solution_label=spec.solution)
+    return GateCircuit(qubit_count=3, gates=tuple(gates), solution_label=solution)
 
 
 def emit_qasm(circuit: GateCircuit) -> str:
@@ -176,77 +150,54 @@ def emit_qasm(circuit: GateCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_QASM_LINE = re.compile(
-    r"^(?:(?P<plain>h|x|z)\s+q\[(?P<pq>\d+)\]"
-    r"|ry\((?P<angle>[^)]+)\)\s+q\[(?P<rq>\d+)\]"
-    r"|ccx\s+q\[(?P<ca>\d+)\],\s*q\[(?P<cb>\d+)\],\s*q\[(?P<cc>\d+)\])\s*;$"
+# The emitted dialect, and nothing else: the header (with the solution
+# comment only when the circuit is labelled), then gate tokens read at a
+# cursor, then the measure line.  A CCZ comes back from its h/ccx/h
+# sandwich, whose two h gates must sit on the ccx target.
+_QASM_HEADER = re.compile(
+    r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\n'
+    r"(?:// solution: (?P<solution>[01]+)\n)?"
+    r"qreg q\[(?P<k>\d+)\];\ncreg c\[(?P=k)\];\n"
 )
+_QASM_GATE = re.compile(
+    r"h q\[(?P<c>\d+)\];\nccx q\[(?P<a>\d+)\],q\[(?P<b>\d+)\],q\[(?P=c)\];\nh q\[(?P=c)\];\n"
+    r"|(?P<kind>[hxz]) q\[(?P<q>\d+)\];\n"
+    r"|ry\((?P<angle>[-+.0-9e]+)\) q\[(?P<rq>\d+)\];\n"
+)
+_QASM_END = "measure q -> c;\n"
 
 
 def parse_qasm(text: str) -> GateCircuit:
-    """Minimal reader for files produced by :func:`emit_qasm`.
+    """Reader for exactly the text that :func:`emit_qasm` writes.
 
-    Understands exactly the emitted dialect: header lines, one qreg/creg,
-    h/x/z/ry gates, and ccx — an h/ccx/h sandwich on the ccx target is fused
-    back into the CCZ it came from.  Anything else is rejected.
+    Any other text, even one the OpenQASM standard allows (comments, blank
+    lines, other spacing or a missing measure line), is rejected.
     """
-    qubit_count = None
-    solution = ""
-    gates: list = []
-    pending_ccx = None  # (a, b, c) awaiting its closing h
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
-            continue
-        if line.startswith("// solution: "):
-            solution = line[len("// solution: "):].strip()
-            continue
-        if line.startswith("//"):
-            continue
-        m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
-        if m:
-            qubit_count = int(m.group(1))
-            continue
-        if re.match(r"^creg\s+c\[\d+\];$", line) or re.match(
-            r"^measure\s+q\s*->\s*c;$", line
-        ):
-            continue
-        m = _QASM_LINE.match(line)
+    header = _QASM_HEADER.match(text)
+    if header is None or not text.endswith(_QASM_END):
+        raise InvalidInput("cannot parse QASM: not the emitted header and measure line")
+    pos, end = header.end(), len(text) - len(_QASM_END)
+    gates = []
+    while pos < end:
+        m = _QASM_GATE.match(text, pos, end)
         if m is None:
-            raise InvalidInput(f"cannot parse QASM line: {raw!r}")
-        if m.group("ca") is not None:
-            if pending_ccx is not None:
-                raise InvalidInput("ccx without the expected h sandwich")
-            qa, qb, qc = (int(m.group(g)) for g in ("ca", "cb", "cc"))
-            last = gates[-1] if gates else None
-            if not (last and last.kind == "h" and last.qubits == (qc,)):
-                raise InvalidInput("ccx without the expected h sandwich")
-            gates.pop()
-            pending_ccx = (qa, qb, qc)
-            continue
-        if m.group("plain") is not None:
-            kind, target = m.group("plain"), int(m.group("pq"))
-            if pending_ccx is not None:
-                if kind == "h" and target == pending_ccx[2]:
-                    gates.append(Gate("ccz", pending_ccx))
-                    pending_ccx = None
-                    continue
-                raise InvalidInput("ccx without the expected h sandwich")
-            gates.append(Gate(kind, (target,)))
-            continue
-        if pending_ccx is not None:
-            raise InvalidInput("ccx without the expected h sandwich")
-        try:
-            angle = float(m.group("angle"))
-        except ValueError as exc:
-            raise InvalidInput(f"bad ry angle in QASM line: {raw!r}") from exc
-        gates.append(Gate("ry", (int(m.group("rq")),), angle))
-    if pending_ccx is not None:
-        raise InvalidInput("ccx without the expected h sandwich")
-    if qubit_count is None:
-        raise InvalidInput("no qreg declaration found")
+            line = text[pos:].partition("\n")[0]
+            raise InvalidInput(f"cannot parse QASM line: {line!r}")
+        if m["c"] is not None:
+            gates.append(Gate("ccz", (int(m["a"]), int(m["b"]), int(m["c"]))))
+        elif m["kind"] is not None:
+            gates.append(Gate(m["kind"], (int(m["q"]),)))
+        else:
+            try:
+                angle = float(m["angle"])
+            except ValueError as exc:
+                raise InvalidInput(f"bad ry angle in QASM: {m['angle']!r}") from exc
+            gates.append(Gate("ry", (int(m["rq"]),), angle))
+        pos = m.end()
     return GateCircuit(
-        qubit_count=qubit_count, gates=tuple(gates), solution_label=solution
+        qubit_count=int(header["k"]),
+        gates=tuple(gates),
+        solution_label=header["solution"] or "",
     )
 
 

@@ -217,7 +217,7 @@ def _check_robustness(args, rng) -> tuple:
         p_hat = new_prior((1.0 - beta) * p.weights + beta * other.weights)
         eps = l1_distance(p, p_hat)
         exact = optimize(p, t).meta["esp"]
-        transferred = esp(p, AmplitudePlan(q=optimize(p_hat, t).q, t=t))
+        transferred = esp(p, optimize(p_hat, t))
         slack = transferred - (exact - 2.0 * eps)
         worst = min(worst, slack)
         if slack < -1e-9:
@@ -280,11 +280,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    spec = qc.halfhalf_spec(args.sigma, args.solution)
-    circuit = qc.build_halfhalf_circuit(spec)
+    theta = qc.theta_for_sigma(args.sigma)
+    circuit = qc.build_halfhalf_circuit(theta, args.solution)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(qc.emit_qasm(circuit))
-    q_block = qc.block_amplitude(spec.theta, qc.in_high_block(args.solution))
+    q_block = qc.block_amplitude(theta, qc.in_high_block(args.solution))
     print(f"predicted_success {success_prob_single(q_block, 1)!r}")
     return 0
 

@@ -18,7 +18,6 @@ from qsearch import (
     build_halfhalf_circuit,
     esp,
     halfhalf_prior,
-    halfhalf_spec,
     l1_distance,
     lemma_a1_search,
     new_prior,
@@ -29,6 +28,7 @@ from qsearch import (
     speedup_plan,
     success_prob_single,
     theorem_a2_bound,
+    theta_for_sigma,
     top_k_mass,
     uniform_plan,
 )
@@ -210,10 +210,11 @@ def test_criterion_10_circuit_end_to_end():
         for sigma, _ in REFERENCE_THETA:
             p = halfhalf_prior(sigma)
             plan = optimize(p, 1)
+            theta = theta_for_sigma(sigma)
             simulated = np.empty(8)
             for outcome in range(8):
                 label = format(outcome, "03b")
-                circuit = build_halfhalf_circuit(halfhalf_spec(sigma, label))
+                circuit = build_halfhalf_circuit(theta, label)
                 probs = run_gate_circuit(circuit)
                 analytic = success_prob_single(float(plan.q[outcome]), 1)
                 assert abs(probs[outcome] - analytic) <= 1e-10

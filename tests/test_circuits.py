@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from qsearch import (
     REFERENCE_THETA,
     GateCircuit,
     Gate,
-    HalfHalfSpec,
     InvalidInput,
     ResourceLimit,
     block_amplitude,
@@ -15,7 +15,6 @@ from qsearch import (
     emit_qasm,
     esp,
     halfhalf_prior,
-    halfhalf_spec,
     in_high_block,
     optimize,
     parse_qasm,
@@ -54,19 +53,10 @@ def test_prior_shape():
         halfhalf_prior(-0.01)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"sigma": 0.2, "solution": "101", "theta": 1.0},
-        {"sigma": 0.05, "solution": "10", "theta": 1.0},
-        {"sigma": 0.05, "solution": "1a1", "theta": 1.0},
-        {"sigma": 0.05, "solution": "101", "theta": 0.0},
-        {"sigma": 0.05, "solution": "101", "theta": 3.5},
-    ],
-)
-def test_spec_rejects_malformed(kwargs):
+@pytest.mark.parametrize("label", ["", "10", "1010", "1a1"])
+def test_build_rejects_malformed_label(label):
     with pytest.raises(InvalidInput):
-        HalfHalfSpec(**kwargs)
+        build_halfhalf_circuit(1.0, label)
 
 
 def test_block_helpers():
@@ -83,8 +73,8 @@ def test_block_helpers():
 
 
 def test_circuit_structure_unmarked_oracle():
-    spec = halfhalf_spec(0.05, "111")
-    circuit = build_halfhalf_circuit(spec)
+    theta = theta_for_sigma(0.05)
+    circuit = build_halfhalf_circuit(theta, "111")
     kinds = tuple(g.kind for g in circuit.gates)
     assert kinds == (
         "h", "h", "ry",
@@ -96,11 +86,11 @@ def test_circuit_structure_unmarked_oracle():
     assert circuit.qubit_count == 3
     assert circuit.solution_label == "111"
     angles = [g.angle for g in circuit.gates if g.kind == "ry"]
-    assert angles == [spec.theta, -spec.theta, spec.theta]
+    assert angles == [theta, -theta, theta]
 
 
 def test_circuit_structure_fully_flipped_oracle():
-    circuit = build_halfhalf_circuit(halfhalf_spec(0.05, "000"))
+    circuit = build_halfhalf_circuit(theta_for_sigma(0.05), "000")
     kinds = [g.kind for g in circuit.gates]
     assert kinds.count("ccz") == 2
     assert len(circuit.gates) == 23
@@ -109,7 +99,7 @@ def test_circuit_structure_fully_flipped_oracle():
 
 
 def test_oracle_flips_follow_label_bits():
-    circuit = build_halfhalf_circuit(halfhalf_spec(0.05, "101"))
+    circuit = build_halfhalf_circuit(theta_for_sigma(0.05), "101")
     first_ccz = next(i for i, g in enumerate(circuit.gates) if g.kind == "ccz")
     assert circuit.gates[first_ccz - 1] == Gate("x", (1,))
     assert circuit.gates[first_ccz + 1] == Gate("x", (1,))
@@ -119,9 +109,10 @@ def test_oracle_flips_follow_label_bits():
 def test_circuit_agrees_with_abstract_iteration(sigma):
     p = halfhalf_prior(sigma)
     plan = optimize(p, 1)
+    theta = theta_for_sigma(sigma)
     simulated = np.empty(8)
     for outcome, label in enumerate(ALL_LABELS):
-        circuit = build_halfhalf_circuit(halfhalf_spec(sigma, label))
+        circuit = build_halfhalf_circuit(theta, label)
         probs = run_gate_circuit(circuit)
         predicted = run_iterations(plan, outcome + 1)
         assert probs[outcome] == pytest.approx(predicted, abs=1e-10)
@@ -146,19 +137,22 @@ def test_qasm_minimal_circuit_lines():
 
 
 def test_qasm_angle_formatting():
-    spec = halfhalf_spec(0.05, "110")
-    text = emit_qasm(build_halfhalf_circuit(spec))
-    assert f"ry({spec.theta:.17g}) q[2];" in text
-    assert f"ry({-spec.theta:.17g}) q[2];" in text
+    theta = theta_for_sigma(0.05)
+    text = emit_qasm(build_halfhalf_circuit(theta, "110"))
+    assert f"ry({theta:.17g}) q[2];" in text
+    assert f"ry({-theta:.17g}) q[2];" in text
     assert text.count("ry(") == 3
     assert text.count("ccx") == 2
     assert "// solution: 110" in text
 
 
 def test_qasm_round_trip_with_label():
-    circuit = build_halfhalf_circuit(halfhalf_spec(0.0375, "010"))
-    recovered = parse_qasm(emit_qasm(circuit))
-    assert recovered == circuit
+    # the whole emitted family: sigma = j/80 for j = 0..9, times the 8 labels
+    for j in range(10):
+        theta = theta_for_sigma(j / 80.0)
+        for label in ALL_LABELS:
+            circuit = build_halfhalf_circuit(theta, label)
+            assert parse_qasm(emit_qasm(circuit)) == circuit, (j, label)
 
 
 def test_qasm_round_trip_without_label():
@@ -169,13 +163,23 @@ def test_qasm_round_trip_without_label():
     recovered = parse_qasm(emit_qasm(circuit))
     assert recovered == circuit
     assert recovered.solution_label == ""
-    # a plain comment line is skipped
-    assert parse_qasm(emit_qasm(circuit).replace("\nh ", "\n// note\nh ", 1)) == circuit
 
 
 def test_qasm_emit_register_cap():
     with pytest.raises(ResourceLimit):
         emit_qasm(GateCircuit(qubit_count=13, gates=()))
+
+
+def emitted_around(body):
+    """body between the emitted header and measure line; a qreg q[k] line gains its creg c[k]."""
+    body = re.sub(r"qreg q\[(\d+)\];\n", r"\g<0>creg c[\1];\n", body)
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\n{body}measure q -> c;\n'
+
+
+def test_emitted_around_a_good_body_parses():
+    # so that each rejection below is the grammar's verdict on its body
+    circuit = parse_qasm(emitted_around("qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\nh q[2];\n"))
+    assert circuit == GateCircuit(qubit_count=3, gates=(Gate("ccz", (0, 1, 2)),))
 
 
 @pytest.mark.parametrize(
@@ -189,8 +193,53 @@ def test_qasm_emit_register_cap():
         "qreg q[3];\nry(bad) q[0];\n",
         "qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\nccx q[0],q[1],q[2];\n",  # ccx in a sandwich
         "qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\nry(0.5) q[2];\n",  # ry in a sandwich
+        "qreg q[3];\nh q[1];\nccx q[0],q[1],q[2];\nh q[2];\n",  # opening h on another qubit
+        "qreg q[3];\nh q[2];\nccx q[0],q[1],q[2];\nh q[1];\n",  # closing h on another qubit
+        "qreg q[3];\nh q[0];\n// note\nh q[1];\n",  # comment between gates
+        "qreg q[3];\nh q[0];\n\nh q[1];\n",  # blank line between gates
+        "qreg q[3];\nry(1.2.3) q[0];\n",  # angle that float() refuses
     ],
 )
 def test_qasm_parse_rejects(text):
+    with pytest.raises(InvalidInput):
+        parse_qasm(emitted_around(text))
+
+
+LABELLED = emit_qasm(
+    GateCircuit(qubit_count=3, gates=(Gate("h", (0,)), Gate("ccz", (0, 1, 2))), solution_label="101")
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        LABELLED.replace("measure q -> c;\n", ""),
+        LABELLED.replace("measure q -> c;\n", "x q[0];\nx q[1];\n"),  # as long as the measure line
+        LABELLED.replace("creg c[3];", "creg c[2];"),
+        LABELLED.replace("// solution: 101\nqreg q[3];\n", "qreg q[3];\n// solution: 101\n"),
+        LABELLED.replace("// solution: 101\n", "// solution: 1x1\n"),
+        LABELLED.replace("qreg q[3];\n", "measure q -> c;\nqreg q[2];\nqreg q[3];\n"),
+        LABELLED.replace("\nccx", "\n// note\nccx"),
+        LABELLED.replace("\nccx", "\n\nccx"),
+        LABELLED.replace("],q[", "], q["),
+        LABELLED.replace("\n", "\r\n"),
+        "qreg q[3];\nh q[2];\n",
+    ],
+    ids=[
+        "no-measure",
+        "gates-for-measure",
+        "creg-size",
+        "solution-after-qreg",
+        "solution-not-bits",
+        "measure-first-two-qregs",
+        "comment-in-sandwich",
+        "blank-in-sandwich",
+        "spaced-ccx",
+        "crlf",
+        "bare-body",
+    ],
+)
+def test_qasm_parse_rejects_what_emit_never_writes(text):
+    assert text != LABELLED
     with pytest.raises(InvalidInput):
         parse_qasm(text)

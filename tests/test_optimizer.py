@@ -634,7 +634,8 @@ def just_binding(n, t):
 # n cap - 1 = 2.1e-7 puts every q within 3e-12 of the cap, inside _FACE_TOL;
 # at n = 1,930 and t = 34 it is 5.5e-5, within 4e-8.  The ceilings are the
 # counts of the earlier two-stage solver (a joint Newton predictor, then
-# Newton per coordinate nested in Newton on the multiplier).
+# Newton per coordinate nested in Newton on the multiplier), except for the
+# random and Zipf shapes, whose ceilings are the joint loop's own counts.
 HARD_SHAPES = {
     "just-binding": (lambda: just_binding(107_492, 257), 257, 8),
     "just-binding-small": (lambda: just_binding(1_930, 34), 34, 8),
@@ -642,6 +643,9 @@ HARD_SHAPES = {
     "geomspace-small": (lambda: np.geomspace(1.0, 1e-300, 2_048), 30, 15),
     "one-heavy": (lambda: np.r_[1.0, np.full(100_000, 1e-300)], 22, 6),
     "one-heavy-small": (lambda: np.r_[1.0, np.full(2_047, 1e-300)], 22, 4),
+    "random-1e6": (lambda: sample_random_prior(10**6, 0).weights, 4, 6),
+    "random-1e5-t200": (lambda: sample_random_prior(10**5, 0).weights, 200, 8),
+    "zipf-1e5": (lambda: 1.0 / np.arange(1, 100_001), 22, 7),
 }
 
 
