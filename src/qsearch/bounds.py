@@ -37,8 +37,6 @@ from .errors import InvalidInput, ResourceLimit, check_int
 from .esp import cap, esp, marginal  # noqa: F401
 from .prior import Prior
 
-__all__ = ["BoundReport", "theorem_a2_bound", "lemma_a1_search"]
-
 _HALF_PI = 0.5 * math.pi
 
 #: Restart count for the projected ascent; enough to be reliably global at n <= 8.
@@ -63,12 +61,9 @@ class BoundReport:
 
     bound_value: float
     achiever: np.ndarray
-    method: str
     residual: float
 
     def __post_init__(self):
-        if self.method not in ("projected-ascent", "grid"):
-            raise InvalidInput(f"unknown bound method {self.method!r}")
         if not -1e-9 <= self.bound_value <= 1.0 + 1e-9:
             raise InvalidInput(f"bound {self.bound_value!r} outside [0, 1]")
 
@@ -202,7 +197,6 @@ def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
     return BoundReport(
         bound_value=min(1.0, best_value),
         achiever=best_r,
-        method="projected-ascent",
         residual=best_value - optimize(p, t).meta["esp"],
     )
 
@@ -352,6 +346,5 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     return BoundReport(
         bound_value=min(1.0, un_value),
         achiever=un_alloc,
-        method="grid",
         residual=un_value - eq_value,
     )

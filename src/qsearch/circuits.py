@@ -25,18 +25,6 @@ from .optimizer import optimize
 from .prior import Prior, new_prior
 from .simulator import MAX_QUBITS, Gate, GateCircuit
 
-__all__ = [
-    "REFERENCE_THETA",
-    "halfhalf_prior",
-    "theta_for_sigma",
-    "build_halfhalf_circuit",
-    "emit_qasm",
-    "parse_qasm",
-    "block_amplitude",
-    "solution_outcome",
-    "in_high_block",
-]
-
 #: Reference rotation angles for the eight benchmark deviations sigma = j/80,
 #: j = 1..8; independently recomputed values must land within 1e-3 of these.
 REFERENCE_THETA = (
@@ -153,16 +141,18 @@ def emit_qasm(circuit: GateCircuit) -> str:
 # The emitted dialect, and nothing else: the header (with the solution
 # comment only when the circuit is labelled), then gate tokens read at a
 # cursor, then the measure line.  A CCZ comes back from its h/ccx/h
-# sandwich, whose two h gates must sit on the ccx target.
+# sandwich, whose two h gates must sit on the ccx target.  Indices and the
+# register size have at most two digits, as emit_qasm stops at MAX_QUBITS.
 _QASM_HEADER = re.compile(
     r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\n'
     r"(?:// solution: (?P<solution>[01]+)\n)?"
-    r"qreg q\[(?P<k>\d+)\];\ncreg c\[(?P=k)\];\n"
+    r"qreg q\[(?P<k>\d{1,2})\];\ncreg c\[(?P=k)\];\n"
 )
 _QASM_GATE = re.compile(
-    r"h q\[(?P<c>\d+)\];\nccx q\[(?P<a>\d+)\],q\[(?P<b>\d+)\],q\[(?P=c)\];\nh q\[(?P=c)\];\n"
-    r"|(?P<kind>[hxz]) q\[(?P<q>\d+)\];\n"
-    r"|ry\((?P<angle>[-+.0-9e]+)\) q\[(?P<rq>\d+)\];\n"
+    r"h q\[(?P<c>\d{1,2})\];\n"
+    r"ccx q\[(?P<a>\d{1,2})\],q\[(?P<b>\d{1,2})\],q\[(?P=c)\];\nh q\[(?P=c)\];\n"
+    r"|(?P<kind>[hxz]) q\[(?P<q>\d{1,2})\];\n"
+    r"|ry\((?P<angle>[-+.0-9e]+)\) q\[(?P<rq>\d{1,2})\];\n"
 )
 _QASM_END = "measure q -> c;\n"
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import circuits as qc
 from .bounds import lemma_a1_search, theorem_a2_bound
-from .errors import InvalidInput, NumericalFailure, ResourceLimit
+from .errors import InvalidInput, NumericalFailure, ResourceLimit, check_int
 from .esp import (
     METHODS,
     AmplitudePlan,
@@ -70,14 +70,11 @@ def _sample_methods(p: Prior, t_values) -> list:
 
 
 def cmd_compare(args) -> int:
-    if args.n < 1:
-        raise InvalidInput("--n must be >= 1")
-    if args.samples < 1:
-        raise InvalidInput("--samples must be >= 1")
+    check_int(args.n, "--n", 1)
+    check_int(args.samples, "--samples", 1)
     if args.t_min < 0 or args.t_min > args.t_max:
         raise InvalidInput("need 0 <= t-min <= t-max")
-    if args.seed < 0:
-        raise InvalidInput("--seed must be >= 0")
+    check_int(args.seed, "--seed")
     injected = load_prior(args.prior) if args.prior else None
     if injected is not None and injected.n != args.n:
         raise InvalidInput(f"--prior has {injected.n} items but --n is {args.n}")
@@ -199,7 +196,7 @@ def _check_a1(args, rng) -> tuple:
     for index in range(cases):
         m = 2 + index % 2
         p = sample_random_prior(3, int(rng.integers(0, 2**63)))
-        gap = lemma_a1_search(p, m, 0.05).residual
+        gap = lemma_a1_search(p, m).residual
         worst = max(worst, gap)
         if gap > 0.1:
             return False, f"per-step allocations beat equal by {gap:.3e} at m={m}"
@@ -258,14 +255,10 @@ _VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise InvalidInput("--trials must be >= 1 (verifying nothing proves nothing)")
-    if args.n_max < 2:
-        raise InvalidInput("--n-max must be >= 2")
-    if args.t_max < 1:
-        raise InvalidInput("--t-max must be >= 1")
-    if args.seed < 0:
-        raise InvalidInput("--seed must be >= 0")
+    check_int(args.trials, "--trials", 1)
+    check_int(args.n_max, "--n-max", 2)
+    check_int(args.t_max, "--t-max", 1)
+    check_int(args.seed, "--seed")
     failures = 0
     for index, (name, check) in enumerate(_VERIFY_CHECKS):
         rng = np.random.Generator(np.random.PCG64([args.seed, index]))

@@ -3,10 +3,12 @@
 Three failure kinds cover the whole surface: bad caller input, a numerical
 procedure that did not meet its tolerance contract, and requests beyond the
 desk-scale caps this package is designed for.  :func:`check_int` is the one
-validation rule for integer arguments (query budgets and counts), and
-:func:`check_json_numbers` the one for number arrays read from JSON files.
+validation rule for integer arguments (query budgets and counts),
+:func:`load_json` the one reader of prior and plan files, and
+:func:`check_json_numbers` the one rule for number arrays read from them.
 """
 
+import json
 import math
 import numbers
 
@@ -35,6 +37,19 @@ def check_int(value, name: str, minimum: int = 0, maximum: int | None = None) ->
         raise InvalidInput(f"{name} must be in [{minimum}, {maximum}], got {value}")
     if value < minimum:
         raise InvalidInput(f"{name} must be >= {minimum}")
+
+
+def load_json(path):
+    """Decode a UTF-8 JSON file; text that does not decode is InvalidInput.
+
+    ``ValueError`` covers bad syntax, bytes that are not UTF-8 and integers
+    over Python's digit limit; ``RecursionError`` covers deep nesting.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
 
 
 def check_json_numbers(values, name: str) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .prior import Prior
 #: Feasibility slack on sum(q); everything downstream treats plans as exact.
 PLAN_SUM_TOL = 1e-12
 
-#: Allowed EspReport method labels.
+#: The compare CSV's methods, in its row order within each t.
 METHODS = ("classical", "grover-uniform", "ranking", "optimal")
 
 #: Smaller-M wins on ranking ties; float noise within this counts as a tie.
@@ -77,17 +77,12 @@ class AmplitudePlan:
 
 @dataclass(frozen=True)
 class EspReport:
-    """A labelled ESP value with enough metadata to reproduce it."""
+    """The ranking baseline's ESP value and the M that attains it."""
 
-    method: str
     value: float
-    t: int
-    n: int
-    extras: Mapping[str, Any] = field(default_factory=dict)
+    M: int
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidInput(f"unknown method label {self.method!r}")
         if not 0.0 <= self.value <= 1.0:
             raise InvalidInput(f"ESP value {self.value!r} outside [0, 1]")
 
@@ -197,13 +192,7 @@ def ranking_baseline(p: Prior, t: int) -> EspReport:
     best = float(values.max())
     m_index = int(np.argmax(values >= best - _RANKING_TIE_TOL))
     value = min(1.0, float(values[m_index]))
-    return EspReport(
-        method="ranking",
-        value=value,
-        t=t,
-        n=p.n,
-        extras={"M": m_index + 1},
-    )
+    return EspReport(value=value, M=m_index + 1)
 
 
 def speedup_plan(p: Prior, t_classical: int) -> AmplitudePlan:

@@ -36,20 +36,9 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, check_int, check_json_numbers
+from .errors import InvalidInput, NumericalFailure, check_int, check_json_numbers, load_json
 from .esp import AmplitudePlan, cap, esp, marginal, slope, slope_and_curvature
 from .prior import Prior
-
-__all__ = [
-    "cap",
-    "optimize",
-    "optimize_t1_closed_form",
-    "kkt_residual",
-    "plan_to_json",
-    "save_plan",
-    "load_plan",
-    "kernel_backend",
-]
 
 # Coordinates within these distances of the box faces are classified as
 # bound-active when checking the KKT conditions.
@@ -411,11 +400,7 @@ def save_plan(p: Prior, plan: AmplitudePlan, path, certificate=None) -> None:
 
 def load_plan(path) -> AmplitudePlan:
     """Read back a plan written by :func:`save_plan` (diagnostics go to meta)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
+    data = load_json(path)
     try:
         check_json_numbers(data["q"], f"{path}: 'q'")
         q = np.asarray(data["q"], dtype=np.float64)

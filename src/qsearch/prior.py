@@ -6,13 +6,12 @@ believed probability that the unique searched-for item sits at index i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, check_int, check_json_numbers
+from .errors import InvalidInput, check_int, check_json_numbers, load_json
 
 #: Absolute tolerance on the normalization invariant.
 NORM_TOL = 1e-12
@@ -112,11 +111,7 @@ def top_k_mass(p: Prior, k: int) -> float:
 
 def load_prior(path) -> Prior:
     """Read a {"weights": [...]} JSON file and normalize it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
+    data = load_json(path)
     if not isinstance(data, dict) or "weights" not in data:
         raise InvalidInput(f"{path}: expected a JSON object with a 'weights' key")
     weights = data["weights"]

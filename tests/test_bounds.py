@@ -39,14 +39,11 @@ def test_f_clamped_monotone():
 
 def test_report_validation():
     with pytest.raises(InvalidInput):
-        BoundReport(bound_value=0.5, achiever=np.zeros(2), method="magic", residual=0.0)
-    with pytest.raises(InvalidInput):
-        BoundReport(bound_value=1.5, achiever=np.zeros(2), method="grid", residual=0.0)
+        BoundReport(bound_value=1.5, achiever=np.zeros(2), residual=0.0)
 
 
 def test_ascent_bound_on_saturating_prior():
     report = theorem_a2_bound(NAIVE, 1)
-    assert report.method == "projected-ascent"
     assert report.bound_value == pytest.approx(1.0, abs=1e-9)
     assert abs(report.residual) <= 1e-9
 
@@ -108,7 +105,6 @@ def test_ascent_bound_rejects_bad_t_before_ascending(monkeypatch):
 def test_grid_search_two_items_saturates():
     p = new_prior([0.5, 0.5])
     report = lemma_a1_search(p, 2, grid_step=0.05)
-    assert report.method == "grid"
     assert report.bound_value == pytest.approx(1.0, abs=1e-12)
     assert report.residual == pytest.approx(0.0, abs=1e-12)
     assert report.achiever.shape == (2, 2)

@@ -224,6 +224,8 @@ LABELLED = emit_qasm(
         LABELLED.replace("],q[", "], q["),
         LABELLED.replace("\n", "\r\n"),
         "qreg q[3];\nh q[2];\n",
+        LABELLED.replace("h q[0];", "h q[" + "9" * 5000 + "];"),
+        LABELLED.replace("q[3];\ncreg c[3]", "q[{0}];\ncreg c[{0}]".format("9" * 5000)),
     ],
     ids=[
         "no-measure",
@@ -237,6 +239,8 @@ LABELLED = emit_qasm(
         "spaced-ccx",
         "crlf",
         "bare-body",
+        "long-index",
+        "long-register",
     ],
 )
 def test_qasm_parse_rejects_what_emit_never_writes(text):

@@ -76,11 +76,25 @@ def test_optimize_missing_prior(tmp_path):
     assert code == 2
 
 
-def test_optimize_malformed_prior(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code = cli.main(["optimize", "--prior", str(path), "--t", "1", "--out", str(tmp_path / "o")])
-    assert code == 2
+# Files json.load fails on with a ValueError other than JSONDecodeError
+# (over Python's integer digit limit, not UTF-8) or with a RecursionError.
+UNDECODABLE = {
+    "digits.json": b'{"weights": [1, ' + b"9" * 5000 + b"]}",
+    "utf16.json": b'\xff\xfe{"weights": [1]}',
+    "nested.json": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def test_optimize_malformed_prior(tmp_path, capsys):
+    files = {"bad.json": b"{not json", **UNDECODABLE}
+    out = tmp_path / "plan.json"
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        code = cli.main(["optimize", "--prior", str(path), "--t", "1", "--out", str(out)])
+        assert code == 2, name
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON ("), name
+        assert not out.exists(), name
 
 
 @pytest.mark.parametrize(
@@ -216,17 +230,20 @@ def test_compare_injected_prior_must_match_n(tmp_path):
 
 @pytest.mark.parametrize(
     "overrides",
-    [
-        ("--n", "0"),
-        ("--samples", "0"),
-        ("--t-min", "3", "--t-max", "1"),
-        ("--t-min", "-1"),
-        ("--seed", "-4"),
+    [  # the flags, then the stderr line they give
+        ("--n", "0", "error: --n must be >= 1"),
+        ("--samples", "0", "error: --samples must be >= 1"),
+        ("--t-min", "3", "--t-max", "1", "error: need 0 <= t-min <= t-max"),
+        ("--t-min", "-1", "error: need 0 <= t-min <= t-max"),
+        ("--seed", "-4", "error: --seed must be >= 0"),
     ],
 )
-def test_compare_rejects_bad_ranges(tmp_path, overrides):
-    args = ["compare", "--out", str(tmp_path / "x.csv"), "--samples", "1", "--n", "4", *overrides]
+def test_compare_rejects_bad_ranges(tmp_path, capsys, overrides):
+    *flags, message = overrides
+    args = ["compare", "--out", str(tmp_path / "x.csv"), "--samples", "1", "--n", "4", *flags]
     assert cli.main(args) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 # NumPy's pairwise summation regroups at 8 and 128 terms.
@@ -411,11 +428,15 @@ def test_theta_table_fails_beyond_the_tolerance(tmp_path, capsys, monkeypatch):
     assert "exceeded the 1e-3 tolerance" in capsys.readouterr().err
 
 
-def test_verify_rejects_empty_suite():
-    assert cli.main(["verify", "--trials", "0"]) == 2
-    assert cli.main(["verify", "--n-max", "1"]) == 2
-    assert cli.main(["verify", "--t-max", "0"]) == 2
-    assert cli.main(["verify", "--seed", "-1"]) == 2
+def test_verify_rejects_empty_suite(capsys):
+    for flag, value, message in [
+        ("--trials", "0", "error: --trials must be >= 1\n"),
+        ("--n-max", "1", "error: --n-max must be >= 2\n"),
+        ("--t-max", "0", "error: --t-max must be >= 1\n"),
+        ("--seed", "-1", "error: --seed must be >= 0\n"),
+    ]:
+        assert cli.main(["verify", flag, value]) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 def test_emit_circuit_file(tmp_path, capsys):

@@ -88,9 +88,7 @@ def test_plan_is_frozen():
 
 def test_report_validation():
     with pytest.raises(InvalidInput):
-        EspReport(method="magic", value=0.5, t=1, n=4)
-    with pytest.raises(InvalidInput):
-        EspReport(method="optimal", value=1.5, t=1, n=4)
+        EspReport(value=1.5, M=4)
 
 
 # ----------------------------------------------------------------- esp core
@@ -138,25 +136,24 @@ def test_esp_perturbation_bounded_by_l1(seed):
 def test_ranking_on_naive_prior():
     report = ranking_baseline(NAIVE, 1)
     assert report.value == 1.0
-    assert report.extras["M"] == 4
-    assert report.method == "ranking"
+    assert report.M == 4
 
 
 def test_ranking_on_uniform_prior():
     report = ranking_baseline(UNIFORM8, 1)
     assert report.value == pytest.approx(0.78125, abs=1e-12)
-    assert report.extras["M"] == 8
+    assert report.M == 8
 
 
 def test_ranking_at_zero_queries_is_single_guess():
     # exact M-ties at t=0 must resolve to M=1 despite float noise
     report = ranking_baseline(NAIVE, 0)
     assert report.value == 0.25
-    assert report.extras["M"] == 1
+    assert report.M == 1
     p = sample_random_prior(11, 3)
     report = ranking_baseline(p, 0)
     assert report.value == pytest.approx(float(p.weights.max()), abs=1e-12)
-    assert report.extras["M"] == 1
+    assert report.M == 1
 
 
 @given(st.integers(0, 2**32), st.integers(1, 5))

@@ -272,10 +272,19 @@ def test_plan_json_matches_string_writer(tmp_path):
 
 
 def test_load_plan_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("{}")
-    with pytest.raises(InvalidInput):
-        load_plan(path)
+    files = {
+        "junk.json": b"{}",
+        # json.load fails on these with a ValueError other than
+        # JSONDecodeError or with a RecursionError
+        "digits.json": b'{"t": 1, "q": [1, ' + b"9" * 5000 + b"]}",
+        "utf16.json": b'\xff\xfe{"t": 1, "q": [1]}',
+        "nested.json": b"[" * 100_000 + b"]" * 100_000,
+    }
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(InvalidInput):
+            load_plan(path)
 
 
 @pytest.mark.parametrize(
