@@ -8,12 +8,16 @@ Two oracles, both deliberately ignorant of the water-filling solver:
   not reduce the attainable maximum.  All seeds ascend together as one
   (seeds x n) array, each row with its own line search and stopping rule,
   and the line search tries its step halvings in blocks;
-* an exhaustive grid search over per-step amplitude allocations, checking
-  that letting every query use a different allocation never beats reusing
-  one fixed allocation by more than grid slack.  f^2 is evaluated once per
-  tuple of per-step grid levels, and every allocation sequence reads its
-  coordinates from that table.  The winners are refined by pairwise mass
-  transfers, each sweep's candidate transfers evaluated as one stack.
+* a grid search over per-step amplitude allocations, checking that letting
+  every query use a different allocation never beats reusing one fixed
+  allocation by more than grid slack.  f^2 is evaluated once per tuple of
+  per-step grid levels, and every allocation sequence reads its coordinates
+  from that table.  The winners are refined by pairwise mass transfers,
+  each sweep's candidate transfers evaluated as one stack.  Both stop once
+  a total reaches ``_ceiling(w)``, the largest float any summation order
+  rounds sum(w) to.  Every f^2 lies in [0, 1] and every weight is >= 0, so
+  each product rounds to at most its weight and each sum rounds
+  monotonically: no total can exceed the ceiling, so nothing past it wins.
 
 Objectives are weighted sums taken with ``np.vecdot``, which calls BLAS
 ddot once per row and so gives each row the bits of ``w @ row``; a
@@ -211,6 +215,18 @@ def _simplex_grid(n: int, steps: int) -> np.ndarray:
     )
 
 
+def _ceiling(w: np.ndarray) -> float:
+    """Largest float any summation order can round w_1 + ... + w_n to, for n <= 3.
+
+    Each order of three terms is (w_a + w_b) + w_c; zeros pad n < 3, where
+    every order gives sum(w).  A weighted total of entries in [0, 1] with
+    weights >= 0 never exceeds this: each product w_x T_x rounds to at most
+    w_x, and each sum, FMA included, rounds monotonically.
+    """
+    a, b, c = w.tolist() + [0.0] * (3 - w.size)
+    return max((a + b) + c, (a + c) + b, (b + c) + a)
+
+
 def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: int):
     """Best sequence of m grid points, as (value, flat index into the (g,)*m product).
 
@@ -221,6 +237,10 @@ def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: i
     among totals tied in exact arithmetic the achiever follows the product's
     rounding.  A per-row dot product would pick another achiever; the product
     stays so that the reported bits stay.
+
+    The chunks stop once the best total reaches ``_ceiling(w)``: no later
+    total can exceed it, and only a strictly greater total replaces the
+    winner, so the result is the full enumeration's, bit for bit.
     """
     size = int(levels.max()) + 1
     level_arc = np.zeros(size)
@@ -238,12 +258,15 @@ def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: i
             rest = rest[..., None, :] * size + levels
         table = table.reshape(size, -1)
         chunks = ((table[first], rest) for first in levels)
+    ceiling = _ceiling(w)
     best_value, best_flat = -1.0, 0
     for a, (block, index) in enumerate(chunks):
         totals = np.take(block, index) @ w
         flat = int(np.argmax(totals))
         if float(totals.flat[flat]) > best_value:
             best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
+        if best_value >= ceiling:
+            break
     return best_value, best_flat
 
 
@@ -275,6 +298,9 @@ def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool
     ).reshape(-1, 3).T
     moves = np.broadcast_to(np.arange(m), (row.size, m)) if tied else row[:, None]
     value = float(_alloc_objective(w, alloc[None])[0])
+    # every candidate is at most the ceiling, so none can beat value + 1e-15
+    if value + 1e-15 >= _ceiling(w):
+        return value, alloc
     delta = step0
     sweeps = 0
     while delta > 1e-10 and sweeps < 500:
@@ -305,14 +331,18 @@ def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool
 
 
 def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
-    """Exhaustive check that per-step allocations gain nothing over a fixed one.
+    """Grid check that per-step allocations gain nothing over a fixed one.
 
-    Enumerates every combination of m per-step simplex allocations on a grid
+    Enumerates the combinations of m per-step simplex allocations on a grid
     of the requested resolution, evaluates
     sum_x p_x f(sum_t arcsin sqrt(u_{t,x}))^2, and locally refines both the
     unrestricted winner and the equal-allocation winner by pairwise-transfer
     ascent.  The refined equal solution also seeds the unrestricted
     refinement, so the reported gap (residual field) is never negative.
+
+    The enumeration ends, and a refinement returns its start, once a total
+    reaches ``_ceiling(w)``, the largest value any summation order gives
+    the weights; the result is the exhaustive search's, bit for bit.
     """
     check_int(m, "m", 1)
     if not 0.0 < grid_step <= 1.0:

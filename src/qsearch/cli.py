@@ -190,6 +190,14 @@ def _check_a2(args, rng) -> tuple:
     return True, f"worst residual = {worst:.3e} over {cases} bounds"
 
 
+#: Largest gap the allocation-grid check allows.  Lemma A1 makes the true gap
+#: 0; over 1,000 random priors at each of n = 2, 3 and m = 2, 3 the worst
+#: gap seen was 8.9e-16 (rounding of two refined values).  The margin to 1e-6,
+#: the ascent-bound check's tolerance, is far above that rounding and far
+#: below an equal-allocation value understated by 0.05.
+_A1_GAP_LIMIT = 1e-6
+
+
 def _check_a1(args, rng) -> tuple:
     cases = min(args.trials, 3)
     worst = -math.inf
@@ -198,7 +206,7 @@ def _check_a1(args, rng) -> tuple:
         p = sample_random_prior(3, int(rng.integers(0, 2**63)))
         gap = lemma_a1_search(p, m).residual
         worst = max(worst, gap)
-        if gap > 0.1:
+        if gap > _A1_GAP_LIMIT:
             return False, f"per-step allocations beat equal by {gap:.3e} at m={m}"
     return True, f"worst gap = {worst:.3e} over {cases} grids"
 

@@ -305,7 +305,41 @@ def reference_unrestricted(w, arcs, m):
     return best_value, best_flat
 
 
+def ceiling_weights():
+    """Weights the ceiling must bound: random, tied and with zeros, as new_prior normalises them."""
+    rng = np.random.Generator(np.random.PCG64(2201))
+    weights = [new_prior(rng.random(n)).weights for n in (1, 2, 3) for _ in range(100)]
+    fixed = ([1.0] * 3, [1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7], [1.0, 0.0])
+    return weights + [new_prior(raw).weights for raw in fixed]
+
+
+def test_ceiling_bounds_every_summation_order():
+    # Totals of entries in [0, 1] are one BLAS dot per row (np.vecdot) or a
+    # matrix-vector product, whose kernels sum rows in an order that can
+    # depend on the row's position in its block; all-ones rows, the largest
+    # possible, sit at every position mod 8 of the (K, n) matrix.
+    rng = np.random.Generator(np.random.PCG64(2202))
+    for w in ceiling_weights():
+        ceiling = bounds._ceiling(w)
+        table = rng.random((64, w.size))
+        table[rng.random(table.shape) < 0.3] = 1.0
+        table[np.arange(0, 64, 9)] = 1.0
+        for totals in (table @ w, np.vecdot(table, w), table.reshape(8, 8, w.size) @ w):
+            assert float(totals.max()) <= ceiling, (w.tolist(), ceiling)
+
+
+@contextlib.contextmanager
+def chunk_counter():
+    """Count the chunks bounds._best_unrestricted evaluates: each takes its coordinates with one np.take."""
+    chunks = []
+    take = np.take
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "take", lambda *args: chunks.append(None) or take(*args))
+        yield chunks
+
+
 def check_level_table(w, m, step):
+    """Compare the level table with the per-chunk reference; return the chunks it evaluated."""
     steps = max(1, round(1.0 / step))
     levels = bounds._simplex_grid(w.size, steps)
     arcs = np.arcsin(np.sqrt(levels / float(steps)))
@@ -315,8 +349,10 @@ def check_level_table(w, m, step):
     assert level_arc[levels].tobytes() == arcs.tobytes()
     fresh = np.arcsin(np.sqrt(np.arange(steps + 1) / float(steps)))
     assert fresh[levels].tobytes() == arcs.tobytes()
-    got = bounds._best_unrestricted(w, levels, arcs, m)
+    with chunk_counter() as chunks:
+        got = bounds._best_unrestricted(w, levels, arcs, m)
     assert repr(got) == repr(reference_unrestricted(w, arcs, m)), (w.tolist(), m, step)
+    return len(chunks)
 
 
 @pytest.mark.parametrize(
@@ -342,6 +378,41 @@ def test_level_table_matches_per_chunk_enumeration(n, m, step):
 def test_level_table_matches_on_criterion_06_priors():
     for p, m, step in criterion_06_inputs():
         check_level_table(p.weights, m, step)
+
+
+def verify_m3_prior(seed):
+    """The prior `qsearch verify --seed S` passes its m=3 grid."""
+    grid = verify_bound_inputs(tuple(range(6)))[1]
+    return [p for p, m in grid if m == 3][seed]
+
+
+@pytest.mark.parametrize(
+    "name, m, step, chunks",
+    [
+        ("thirds", 3, 0.1, 1),
+        ("verify-0", 3, 0.05, 1),
+        ("zero-weight", 2, 0.1, 1),
+        ("verify-3", 3, 0.05, 231),
+    ],
+)
+def test_level_table_matches_on_both_sides_of_the_ceiling(name, m, step, chunks):
+    # The enumeration stops once a total reaches bounds._ceiling(w).  Seed 3's
+    # weights round to 1.0 in the product's order and to 1.0000000000000002
+    # in another, so no total reaches the ceiling and all 231 chunks run.
+    # The tied priors run at step 0.1: step 0.05 is in the test above.
+    priors = {
+        "thirds": new_prior([1.0] * 3),
+        "verify-0": verify_m3_prior(0),
+        "zero-weight": new_prior([1.0, 1.0, 0.0]),
+        "verify-3": verify_m3_prior(3),
+    }
+    assert check_level_table(priors[name].weights, m, step) == chunks
+
+
+def test_grid_search_stops_at_the_ceiling():
+    with chunk_counter() as chunks:
+        lemma_a1_search(verify_m3_prior(0), 3)
+    assert len(chunks) == 1
 
 
 def report_digest(reports):
@@ -432,19 +503,42 @@ def refinement_cases(kind):
         return refinement_inputs(
             (new_prior([1.0, 1.0, 1.0]), m, step) for m in (1, 2, 3) for step in (0.04, 0.05)
         )
+    if kind == "ceiling":
+        # three starts whose value reaches bounds._ceiling(w), every item
+        # saturated, then one 3.3e-10 below it that a transfer lifts
+        thirds = new_prior([1.0, 1.0, 1.0]).weights
+        return [
+            (thirds, np.eye(3), 0.05, False),
+            (new_prior([1.0, 1.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 0.05, False),
+            (new_prior([1.0, 0.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0]] * 2), 0.05, True),
+            (thirds, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 0.0, 1.0 - 1e-9]]), 0.05, False),
+        ]
     priors = [new_prior([1.0, 0.0, 0.0]), new_prior([1.0, 1.0, 0.0]), sample_random_prior(2, 42)]
     return refinement_inputs((p, m, 0.05) for p in priors for m in (1, 2, 3))
 
 
-@pytest.mark.parametrize("kind", ["verify", "criterion-06", "thirds", "edges"])
-def test_stacked_refinement_matches_one_transfer_at_a_time(kind):
+@pytest.mark.parametrize("kind", ["verify", "criterion-06", "thirds", "edges", "ceiling"])
+def test_stacked_refinement_matches_one_transfer_at_a_time(kind, monkeypatch):
     cases = refinement_cases(kind)
     assert {tied for *_, tied in cases} == {True, False}
+    # A start at the ceiling returns after evaluating only itself.
+    evaluations = []
+    objective = bounds._alloc_objective
+    monkeypatch.setattr(
+        bounds, "_alloc_objective", lambda w, allocs: evaluations.append(1) or objective(w, allocs)
+    )
+    early = []
     for w, alloc, step0, tied in cases:
+        evaluations.clear()
         value, refined = bounds._refine_transfers(w, alloc, step0, tied)
+        early.append(len(evaluations) == 1)
         ref_value, ref_refined = reference_refine(w, alloc, step0, tied)
         assert repr(value) == repr(ref_value), (w.tolist(), alloc.tolist(), step0, tied)
         assert refined.tobytes() == ref_refined.tobytes(), (w.tolist(), alloc.tolist(), step0, tied)
+    if kind == "ceiling":
+        assert early == [True, True, True, False]
+    if kind == "verify":
+        assert set(early) == {True, False}
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -382,36 +382,48 @@ def scaled_plans(solve, factor):
     return scaled
 
 
-def lowered_when_tied(refine):
-    def lowered(w, alloc, step0, tied):
-        value, best = refine(w, alloc, step0, tied)
-        return (value - 0.2 if tied else value), best
+def lowered_when_tied(amount):
+    def fault(refine):
+        def lowered(w, alloc, step0, tied):
+            value, best = refine(w, alloc, step0, tied)
+            return (value - amount if tied else value), best
 
-    return lowered
+        return lowered
+
+    return fault
 
 
-def unclamped(angles):
-    return np.sin(angles) ** 2
+def unclamped(w, r, k):
+    # the ascent's objective alone: the grid shares bounds._clamped and sees it too
+    return np.vecdot(np.sin(k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0)))) ** 2, w)
 
 
-# (failing check, module, attribute, fault built from the original, argv)
+# test id: (failing check, module, attribute, fault built from the original, argv)
 VERIFY_FAULTS = {
-    "kkt-certificate": (cli, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST),
-    "ascent-bound": (bounds, "_clamped", lambda f: unclamped, VERIFY_FAST),
-    "allocation-grid": (bounds, "_refine_transfers", lowered_when_tied, VERIFY_FAST),
-    "robustness": (cli, "l1_distance", lambda f: lambda p, q: 0.0, ["verify"]),
-    "speedup": (cli, "speedup_plan", lambda f: scaled_plans(f, 0.999), VERIFY_FAST),
+    "kkt-certificate": (
+        "kkt-certificate", cli, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST
+    ),
+    "ascent-bound": ("ascent-bound", bounds, "_objective", lambda f: unclamped, VERIFY_FAST),
+    "allocation-grid": (
+        "allocation-grid", bounds, "_refine_transfers", lowered_when_tied(0.2), VERIFY_FAST
+    ),
+    # passed the check's former threshold of 0.1
+    "allocation-grid-0.05": (
+        "allocation-grid", bounds, "_refine_transfers", lowered_when_tied(0.05), VERIFY_FAST
+    ),
+    "robustness": ("robustness", cli, "l1_distance", lambda f: lambda p, q: 0.0, ["verify"]),
+    "speedup": ("speedup", cli, "speedup_plan", lambda f: scaled_plans(f, 0.999), VERIFY_FAST),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_FAULTS))
 def test_verify_fault_fails_its_own_check(name, capsys, monkeypatch):
-    module, attr, fault, argv = VERIFY_FAULTS[name]
+    check, module, attr, fault, argv = VERIFY_FAULTS[name]
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
     code = cli.main(argv)
     failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     assert code == 4
-    assert failed == [name]
+    assert failed == [check]
 
 
 def test_compare_fails_on_a_method_ordering_violation(tmp_path, capsys, monkeypatch):
