@@ -1,13 +1,15 @@
-"""Independent brute-force certification of the optimal plans.
+"""Independent certification of the optimal plans.
 
-Two oracles, both deliberately ignorant of the water-filling solver:
+Two checks, both ignorant of how the water-filling solver works:
 
-* an upper bound on any t-query strategy, maximized by projected gradient
-  ascent over the uncapped simplex with the success curve clamped at 1 —
-  agreement with the optimizer's ESP certifies that the per-item cap does
-  not reduce the attainable maximum.  All seeds ascend together as one
-  (seeds x n) array, each row with its own line search and stopping rule,
-  and the line search tries its step halvings in blocks;
+* an upper bound on any t-query strategy, by weak duality (Boyd and
+  Vandenberghe, Convex Optimization, section 5.2) over the uncapped simplex
+  with the success curve clamped at 1.  It is taken at the solver's own plan
+  q, clipped into [0, cap], and at the multiplier that makes it smallest, one
+  O(n) pass; agreement with the plan's ESP certifies both the plan and that
+  the per-item cap does not reduce the attainable maximum.  The bound holds
+  wherever q and the multiplier come from: a wrong solver only makes it
+  looser;
 * a grid search over per-step amplitude allocations, checking that letting
   every query use a different allocation never beats reusing one fixed
   allocation by more than grid slack.  f^2 is evaluated once per tuple of
@@ -19,13 +21,12 @@ Two oracles, both deliberately ignorant of the water-filling solver:
   each product rounds to at most its weight and each sum rounds
   monotonically: no total can exceed the ceiling, so nothing past it wins.
 
-Objectives are weighted sums taken with ``np.vecdot``, which calls BLAS
-ddot once per row and so gives each row the bits of ``w @ row``; a
-matrix-vector product sums some rows in another order, which would make a
-bound's bits depend on the batch it was evaluated in.
+The grid's refinement sums its objectives with ``np.vecdot``, which calls
+BLAS ddot once per row and so gives each row the bits of ``w @ row``; a
+matrix-vector product sums some rows in another order, which would make its
+values depend on the batch they were evaluated in.
 
-Desk-scale caps keep both exact-ish searches cheap: n <= 8 / t <= 3 for the
-ascent, n <= 3 / m <= 3 / step >= 0.02 for the grid.
+Desk-scale caps keep the grid cheap: n <= 3 / m <= 3 / step >= 0.02.
 """
 
 from __future__ import annotations
@@ -37,21 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ResourceLimit, check_int
-# esp is no longer called here, but perfbench/tracing.py wraps qsearch.bounds.esp.
-from .esp import cap, esp, marginal  # noqa: F401
+from .esp import AmplitudePlan, cap, esp, marginal
 from .prior import Prior
 
 _HALF_PI = 0.5 * math.pi
-
-#: Restart count for the projected ascent; enough to be reliably global at n <= 8.
-ASCENT_RESTARTS = 32
-
-_ASCENT_SEED = 0x0B5E55ED
-_CONVERGENCE_TOL = 1e-10
-_MAX_ASCENT_STEPS = 5000
-#: Step halvings the ascent tries together, as block edges: 0 | 1 | 2 | 3 | 4-7 | 8-59.
-#: Most steps are accepted at two halvings; a row that fails them all runs to 60.
-_HALVING_BLOCKS = (0, 1, 2, 3, 4, 8, 60)
 
 
 @dataclass(frozen=True)
@@ -59,8 +49,8 @@ class BoundReport:
     """Certified value, the assignment attaining it, and a residual.
 
     ``residual`` is the gap to the reference being checked: bound minus the
-    optimizer's ESP for the ascent bound, best-unrestricted minus best-equal
-    for the grid search.
+    ESP of the optimizer's plan for the duality bound, best-unrestricted
+    minus best-equal for the grid search.
     """
 
     bound_value: float
@@ -78,131 +68,52 @@ def _clamped(angles: np.ndarray) -> np.ndarray:
     return np.where(angles >= _HALF_PI, 1.0, vals)
 
 
-def _objective(w: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
-    """sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 with the clamp applied, per row of r.
+def _duality_gap(w: np.ndarray, q: np.ndarray, t: int) -> float:
+    """Smallest weak-duality bound on the uncapped optimum, minus the ESP of q.
 
-    ``np.vecdot`` takes one BLAS ddot per row, the bits of ``w @ row``: a
-    matrix-vector product sums some rows in another order, so the bound's
-    bits would depend on the batch.
+    q must lie in [0, cap(t)].  With a_i = w_i g'(q_i) and d_i = a_i - lam,
+    for every lam >= 0
+
+        D(lam) = ESP(q) + lam (1 - sum(q)) + sum_i max(-d_i q_i, d_i (cap - q_i))
+
+    bounds sum_i w_i f(r_i)^2 over r >= 0, sum(r) <= 1, f clamped at 1: each
+    w_i g(r) - lam r is concave on [0, cap] and below its tangent at q_i, and
+    past the cap f^2 stays 1 while -lam r falls.  D is convex and piecewise
+    linear in lam with slope 1 - cap #{a_i > lam}, so it is smallest at the
+    (floor(1/cap) + 1)-th largest a_i, or at 0 when there are no more a_i
+    than floor(1/cap).
+
+    At t = 0, g is the identity and its slope is 1 exactly; ``marginal``'s
+    formula loses its bits as q nears 1 (it reads 1.41 at the float below
+    1), and a tangent with the wrong slope is no bound.
     """
-    return np.vecdot(_clamped(k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0)))), w)
-
-
-def _project(r: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto {r >= 0, sum r <= 1}."""
-    r = np.minimum(r, 1.0)
-    clipped = np.maximum(r, 0.0)
-    inside = clipped.sum(axis=1) <= 1.0
-    if inside.all():
-        return clipped
-    # sort-based simplex projection (Duchi et al., ICML 2008; sum == 1 once
-    # the budget binds), with rho the last rank whose shifted entry stays positive
-    u = np.sort(r, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ranks = np.arange(1, r.shape[1] + 1)
-    rho = r.shape[1] - 1 - np.argmax((u - css / ranks > 0.0)[:, ::-1], axis=1)
-    shift = css[np.arange(r.shape[0]), rho] / (rho + 1.0)
-    return np.where(inside[:, None], clipped, np.maximum(r - shift[:, None], 0.0))
-
-
-def _ascend(w: np.ndarray, r0: np.ndarray, t: int):
-    """Backtracking projected ascent from every row of r0 at once: (values, rows).
-
-    A row stops when its full step's projection moves it less than
-    _CONVERGENCE_TOL, when 60 halvings of its step gain nothing, or after
-    _MAX_ASCENT_STEPS steps.  Each block of _HALVING_BLOCKS projects and
-    evaluates its halvings of every pending row as one stack, and a row takes
-    its first improving halving, as trying them one at a time would.
-    """
-    k = 2 * t + 1
     c = cap(t)
-    r = _project(np.asarray(r0, dtype=np.float64))
-    n = r.shape[1]
-    value = _objective(w, r, k)
-    live = np.arange(r.shape[0])
-    for _ in range(_MAX_ASCENT_STEPS):
-        rows = r[live]
-        # No gain from pushing a coordinate past saturation.
-        grad = np.where(rows < c, w * marginal(rows, t), 0.0)
-        # The full step's projection is both the convergence test and the first candidate.
-        candidate = _project(rows + grad)
-        d = candidate - rows
-        moving = ~(np.sqrt(np.vecdot(d, d)) < _CONVERGENCE_TOL)
-        live, rows, grad = live[moving], rows[moving], grad[moving]
-        trial = candidate[moving][None]
-        # Rows still searching for an ascent step, as indices into live.
-        pending = np.arange(live.size)
-        for lo, hi in zip(_HALVING_BLOCKS, _HALVING_BLOCKS[1:]):
-            if not pending.size:
-                break
-            if lo:
-                scales = np.array([0.5**h for h in range(lo, hi)])[:, None, None]
-                trial = _project((rows[pending] + scales * grad[pending]).reshape(-1, n))
-                trial = trial.reshape(hi - lo, pending.size, n)
-            trial_value = _objective(w, trial.reshape(-1, n), k).reshape(trial.shape[:2])
-            up = trial_value > value[live[pending]]
-            hit = np.flatnonzero(up.any(axis=0))
-            first = up.argmax(axis=0)[hit]
-            accepted = live[pending[hit]]
-            r[accepted] = trial[first, hit]
-            value[accepted] = trial_value[first, hit]
-            pending = np.delete(pending, hit)
-        # a row whose 60 halvings all failed is done
-        live = np.delete(live, pending)
-        if not live.size:
-            break
-    return value.tolist(), r
+    a = w * marginal(q, t) if t else w
+    j = a.size - math.floor(1.0 / c)
+    lam = max(float(np.partition(a, j - 1)[j - 1]), 0.0) if j > 0 else 0.0
+    d = a - lam
+    return lam * (1.0 - float(q.sum())) + float(np.maximum(-d * q, d * (c - q)).sum())
 
 
 def theorem_a2_bound(p: Prior, t: int) -> BoundReport:
-    """Best uncapped success probability over the simplex, by projected ascent.
+    """Upper bound on the uncapped success probability, by weak duality at the solver's plan.
 
-    Maximizes sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 over r >= 0,
-    sum(r) <= 1 with f clamped at 1 — no per-item cap, so the value upper
-    bounds every t-query strategy.  Seeds: the uniform point, all one- and
-    two-coordinate simplex vertices/midpoints, and ASCENT_RESTARTS random
-    interior points from a fixed stream; the best ascent wins, with exact
-    ties broken toward the lexicographically smallest achiever.
-
-    The residual is measured against the water-filling optimizer's ESP, which
-    this bound exists to cross-check; the maximization itself never touches it.
+    Bounds sum_i p_i f((2t+1) arcsin sqrt(r_i))^2 over r >= 0, sum(r) <= 1
+    with f clamped at 1 -- no per-item cap, so the value upper bounds every
+    t-query strategy.  The bound is taken at the water-filling optimizer's
+    plan clipped into [0, cap(t)], where ``_duality_gap`` holds whatever the
+    solver returned.  The solver's plan is the achiever, and the residual is
+    the bound minus that plan's own ESP: >= 0 up to rounding, and as large
+    as what a wrong plan loses, a plan past the cap included.
     """
     check_int(t, "t")
-    if p.n > 8 or t > 3:
-        raise ResourceLimit(f"ascent bound capped at n <= 8, t <= 3; got n={p.n}, t={t}")
-    w = p.weights
-    n = p.n
-
-    seeds = [np.full(n, 1.0 / n)]
-    for i in range(n):
-        vertex = np.zeros(n)
-        vertex[i] = 1.0
-        seeds.append(vertex)
-        for j in range(i + 1, n):
-            midpoint = np.zeros(n)
-            midpoint[i] = midpoint[j] = 0.5
-            seeds.append(midpoint)
-    rng = np.random.Generator(np.random.PCG64(_ASCENT_SEED))
-    for _ in range(ASCENT_RESTARTS):
-        raw = rng.random(n)
-        seeds.append(raw / float(raw.sum()) * float(rng.random()))
-
-    best_value = -1.0
-    best_r = None
-    for value, r in zip(*_ascend(w, np.asarray(seeds), t)):
-        if value > best_value or (
-            value == best_value and tuple(r) < tuple(best_r)
-        ):
-            best_value, best_r = value, r
-
     # Looked up at call time, so a wrapper on qsearch.optimizer.optimize sees this solve.
     from .optimizer import optimize
 
-    return BoundReport(
-        bound_value=min(1.0, best_value),
-        achiever=best_r,
-        residual=best_value - optimize(p, t).meta["esp"],
-    )
+    plan = optimize(p, t)
+    q = np.clip(plan.q, 0.0, cap(t))
+    bound = esp(p, AmplitudePlan(q=q, t=t)) + _duality_gap(p.weights, q, t)
+    return BoundReport(bound_value=min(1.0, bound), achiever=plan.q, residual=bound - esp(p, plan))
 
 
 def _simplex_grid(n: int, steps: int) -> np.ndarray:

@@ -134,7 +134,7 @@ def marginal(q, t: int) -> np.ndarray:
 
     q = 1 is reachable only at t = 0 (cap(0) = 1), where g is the identity
     and k^2 = 1 is already the exact endpoint derivative.  The water-fill's
-    certificate and the ascent bound's gradient both read the faces from here.
+    certificate and the duality bound's tangents both read the faces from here.
     """
     k = 2 * t + 1
     qc = np.minimum(np.maximum(q, 0.0), cap(t))

@@ -352,9 +352,9 @@ def test_verify_passes(capsys):
 # md5 of `verify --seed S` stdout at the defaults.  These move only with a
 # CHANGES.md entry that explains the bits that moved them.
 VERIFY_STDOUT_MD5 = {
-    0: "07b2fb0bbf22f805d8ba6168ed1fb182",
-    1: "fe7d2894801585ad67e8ea2ef6113485",
-    2: "f5af15c1c4d0c60f8f7b2ea2e7b17ac8",
+    0: "20b766004c18a3dfcd0585ad8743dd5c",
+    1: "fff5a19f9d54f23e01f60a2dbde24faa",
+    2: "12c75503eee2c8dee6790d0486a7d4a5",
 }
 
 
@@ -393,17 +393,15 @@ def lowered_when_tied(amount):
     return fault
 
 
-def unclamped(w, r, k):
-    # the ascent's objective alone: the grid shares bounds._clamped and sees it too
-    return np.vecdot(np.sin(k * np.arcsin(np.sqrt(np.clip(r, 0.0, 1.0)))) ** 2, w)
-
-
 # test id: (failing check, module, attribute, fault built from the original, argv)
 VERIFY_FAULTS = {
     "kkt-certificate": (
         "kkt-certificate", cli, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST
     ),
-    "ascent-bound": ("ascent-bound", bounds, "_objective", lambda f: unclamped, VERIFY_FAST),
+    # bounds looks optimize up at call time, so only the duality bound sees this binding
+    "ascent-bound": (
+        "ascent-bound", qsearch.optimizer, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST
+    ),
     "allocation-grid": (
         "allocation-grid", bounds, "_refine_transfers", lowered_when_tied(0.2), VERIFY_FAST
     ),
@@ -412,6 +410,11 @@ VERIFY_FAULTS = {
         "allocation-grid", bounds, "_refine_transfers", lowered_when_tied(0.05), VERIFY_FAST
     ),
     "robustness": ("robustness", cli, "l1_distance", lambda f: lambda p, q: 0.0, ["verify"]),
+    # The worst loss at seed 0 is 0.047 of the distance, which this factor
+    # puts between eps and the check's former 2 eps.
+    "robustness-eps": (
+        "robustness", cli, "l1_distance", lambda f: lambda p, q: 0.03 * f(p, q), ["verify"]
+    ),
     "speedup": ("speedup", cli, "speedup_plan", lambda f: scaled_plans(f, 0.999), VERIFY_FAST),
 }
 

@@ -25,6 +25,7 @@ from qsearch import (
     top_k_mass,
 )
 from qsearch import optimizer
+from qsearch.bounds import _duality_gap as duality_gap
 from qsearch.esp import marginal, slope
 from qsearch.optimizer import kernel_backend, waterfill
 
@@ -502,31 +503,13 @@ def gaps_at(w, q, t, lam):
 
 
 def duality_gap_reference(w, q, t):
-    """The smallest bound over lam = 0 and every breakpoint, as a (breakpoints x n) array.
+    """bounds._duality_gap by brute force: the smallest bound over lam = 0 and every breakpoint.
 
     The bound is convex and piecewise linear in lam, with its breakpoints at
     lam = w_i g'(q_i), so it is smallest at one of them or at 0.
     """
     m = w * marginal(q, t)
     return float(gaps_at(w, q, t, np.append(m[m > 0.0], 0.0)[:, None]).min())
-
-
-def duality_gap(w, q, t):
-    """The same minimum in O(n): the bound is smallest where its slope turns non-negative.
-
-    Below every breakpoint the slope is 1 - sum(q) - sum_i (cap - q_i), and
-    each breakpoint passed adds q_i + (cap - q_i) = cap, whichever item it
-    belongs to.  So the slope above the j smallest breakpoints is that base
-    plus j cap, and the bound is smallest at the j-th smallest for the first
-    such sum that is not negative, or at lam = 0 when the base is not (or
-    that breakpoint is not positive: the bound needs lam >= 0).
-    """
-    c = cap(t)
-    m = w * marginal(q, t)
-    slopes = (1.0 - q.sum() - np.sum(c - q)) + c * np.arange(q.size + 1)
-    j = int(np.searchsorted(slopes, 0.0))  # slopes end at 1, so j <= n
-    lam = max(float(np.partition(m, j - 1)[j - 1]), 0.0) if j else 0.0
-    return float(gaps_at(w, q, t, np.array([[lam]]))[0])
 
 
 @given(
@@ -554,6 +537,12 @@ def test_waterfill_agrees_with_nested_bisection(n, t, kind, seed):
     gap = duality_gap(p.weights, plan.q, t)
     assert gap <= 1e-14
     assert abs(gap - duality_gap_reference(p.weights, plan.q, t)) <= 1e-18 + 1e-13 * gap
+    # Off the optimum the breakpoints spread out, so a multiplier one
+    # breakpoint off the minimum shows there.
+    rough = np.minimum(plan.q * rng.uniform(0.5, 1.5, n), cap(t))
+    gap = duality_gap(p.weights, rough, t)
+    # rough may spend more than the budget, and then its gap is negative
+    assert abs(gap - duality_gap_reference(p.weights, rough, t)) <= 1e-18 + 1e-13 * abs(gap)
 
 
 def counted_evaluations(monkeypatch):
