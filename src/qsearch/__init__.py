@@ -46,7 +46,6 @@ from .prior import (
     load_prior,
     new_prior,
     sample_random_prior,
-    save_prior,
     top_k_mass,
 )
 from .simulator import (
@@ -97,7 +96,6 @@ __all__ = [
     "run_iterations",
     "sample_random_prior",
     "save_plan",
-    "save_prior",
     "solution_outcome",
     "speedup_plan",
     "success_prob_single",

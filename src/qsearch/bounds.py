@@ -12,10 +12,11 @@ Two checks, both ignorant of how the water-filling solver works:
   looser;
 * a grid search over per-step amplitude allocations, checking that letting
   every query use a different allocation never beats reusing one fixed
-  allocation by more than grid slack.  f^2 is evaluated once per tuple of
-  per-step grid levels, and every allocation sequence reads its coordinates
-  from that table.  The winners are refined by pairwise mass transfers,
-  each sweep's candidate transfers evaluated as one stack.  Both stop once
+  allocation by more than grid slack.  One search serves m allocations and
+  one allocation used m times.  f^2 is evaluated once per tuple of per-step
+  grid levels, and every allocation sequence reads its coordinates from
+  that table.  The winners are refined by pairwise mass transfers, each
+  sweep's candidate transfers evaluated as one stack.  Both stop once
   a total reaches ``_ceiling(w)``, the largest float any summation order
   rounds sum(w) to.  Every f^2 lies in [0, 1] and every weight is >= 0, so
   each product rounds to at most its weight and each sum rounds
@@ -82,13 +83,9 @@ def _duality_gap(w: np.ndarray, q: np.ndarray, t: int) -> float:
     linear in lam with slope 1 - cap #{a_i > lam}, so it is smallest at the
     (floor(1/cap) + 1)-th largest a_i, or at 0 when there are no more a_i
     than floor(1/cap).
-
-    At t = 0, g is the identity and its slope is 1 exactly; ``marginal``'s
-    formula loses its bits as q nears 1 (it reads 1.41 at the float below
-    1), and a tangent with the wrong slope is no bound.
     """
     c = cap(t)
-    a = w * marginal(q, t) if t else w
+    a = w * marginal(q, t)
     j = a.size - math.floor(1.0 / c)
     lam = max(float(np.partition(a, j - 1)[j - 1]), 0.0) if j > 0 else 0.0
     d = a - lam
@@ -138,16 +135,19 @@ def _ceiling(w: np.ndarray) -> float:
     return max((a + b) + c, (a + c) + b, (b + c) + a)
 
 
-def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: int):
+def _best_sequence(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: int):
     """Best sequence of m grid points, as (value, flat index into the (g,)*m product).
 
     f^2 is evaluated once per tuple of levels, on a (steps + 1,)*m table of
     the steps' arcs added in order; each chunk (one per first step, or all
-    grid points at m = 1) gathers its coordinates from it.  Totals are one
-    matrix-vector product per chunk and the first of equal totals wins, so
-    among totals tied in exact arithmetic the achiever follows the product's
-    rounding.  A per-row dot product would pick another achiever; the product
-    stays so that the reported bits stay.
+    grid points at m = 1) gathers its coordinates from it.  The one chunk at
+    m = 1 is also the equal family's product: passed r * arcs for one row
+    used r times, its gather holds the bits of ``_clamped(r * arcs)``, as
+    each level has one arc.  Totals are one matrix-vector product per chunk
+    and the first of equal totals wins, so among totals tied in exact
+    arithmetic the achiever follows the product's rounding.  A per-row dot
+    product would pick another achiever; the product stays so that the
+    reported bits stay.
 
     The chunks stop once the best total reaches ``_ceiling(w)``: no later
     total can exceed it, and only a strictly greater total replaces the
@@ -181,34 +181,35 @@ def _best_unrestricted(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: i
     return best_value, best_flat
 
 
-def _alloc_objective(w: np.ndarray, allocs: np.ndarray) -> np.ndarray:
-    """Value of each allocation in a (K, m, n) stack: one simplex allocation per query step."""
-    angles = np.arcsin(np.sqrt(np.clip(allocs, 0.0, 1.0))).sum(axis=1)
+def _alloc_objective(w: np.ndarray, allocs: np.ndarray, reps: int) -> np.ndarray:
+    """Value of each allocation in a (K, rows, n) stack, every row used for ``reps`` query steps."""
+    angles = reps * np.arcsin(np.sqrt(np.clip(allocs, 0.0, 1.0))).sum(axis=1)
     return np.vecdot(_clamped(angles), w)
 
 
-def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool):
+def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, reps: int):
     """Coordinate ascent by pairwise mass transfers, shrinking the step.
 
     A sweep tries every transfer (row, i -> j) in order and takes each one
-    that improves the value.  The transfers still ahead in a sweep are built
-    from the current allocation and evaluated as one stack; the first
-    improving one is taken and the scan resumes after it, from the new
-    allocation, so the order of a one-at-a-time scan is kept.
+    that improves the value, every row used for ``reps`` steps.  The
+    transfers still ahead in a sweep are built from the current allocation
+    and evaluated as one stack; the first improving one is taken and the
+    scan resumes after it, from the new allocation, so the order of a
+    one-at-a-time scan is kept.
 
-    ``tied`` refines within the equal-allocation family: the same transfer is
-    applied to every row so the rows stay identical, and its amount is read
-    from row 0.
+    One allocation used m times is one row with reps = m, which has the
+    bits of m identical rows moved together: their angles added in order
+    are a + a, exact, at m = 2 and (a + a) + a, the one rounding of 3a, at
+    m = 3, as is 3 * a.  The grid search takes m <= 3.
     """
     alloc = alloc.copy()
-    m, n = alloc.shape
-    # every transfer (row, i -> j) in scan order, and the rows each one moves
+    rows, n = alloc.shape
+    # every transfer (row, i -> j) in scan order
     row, i, j = np.array(
-        [(r, a, b) for r in range(1 if tied else m) for a in range(n) for b in range(n) if a != b],
+        [(r, a, b) for r in range(rows) for a in range(n) for b in range(n) if a != b],
         dtype=np.intp,
     ).reshape(-1, 3).T
-    moves = np.broadcast_to(np.arange(m), (row.size, m)) if tied else row[:, None]
-    value = float(_alloc_objective(w, alloc[None])[0])
+    value = float(_alloc_objective(w, alloc[None], reps)[0])
     # every candidate is at most the ceiling, so none can beat value + 1e-15
     if value + 1e-15 >= _ceiling(w):
         return value, alloc
@@ -223,13 +224,13 @@ def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool
             ahead = np.flatnonzero(amount > 0.0)
             if not ahead.size:
                 break
-            amount = amount[ahead, None]
+            amount = amount[ahead]
             ahead += start
-            cand = np.broadcast_to(alloc, (ahead.size, m, n)).copy()
-            stack = np.arange(ahead.size)[:, None]
-            cand[stack, moves[ahead], i[ahead, None]] -= amount
-            cand[stack, moves[ahead], j[ahead, None]] += amount
-            values = _alloc_objective(w, cand)
+            cand = np.broadcast_to(alloc, (ahead.size, rows, n)).copy()
+            stack = np.arange(ahead.size)
+            cand[stack, row[ahead], i[ahead]] -= amount
+            cand[stack, row[ahead], j[ahead]] += amount
+            values = _alloc_objective(w, cand, reps)
             up = np.flatnonzero(values > value + 1e-15)
             if not up.size:
                 break
@@ -244,12 +245,13 @@ def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, tied: bool
 def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     """Grid check that per-step allocations gain nothing over a fixed one.
 
-    Enumerates the combinations of m per-step simplex allocations on a grid
-    of the requested resolution, evaluates
-    sum_x p_x f(sum_t arcsin sqrt(u_{t,x}))^2, and locally refines both the
-    unrestricted winner and the equal-allocation winner by pairwise-transfer
-    ascent.  The refined equal solution also seeds the unrestricted
-    refinement, so the reported gap (residual field) is never negative.
+    Compares two families of simplex allocations on a grid of the requested
+    resolution by sum_x p_x f(sum_t arcsin sqrt(u_{t,x}))^2: m allocations,
+    one per query step, and one allocation used m times.  Both go through
+    one search, enumeration then pairwise-transfer ascent, run on m rows
+    used once and on one row used m times.  The refined equal solution, its
+    row at every step, also seeds a refinement of the m allocations, so the
+    reported gap (residual field) is never negative.
 
     The enumeration ends, and a refinement returns its start, once a total
     reaches ``_ceiling(w)``, the largest value any summation order gives
@@ -267,20 +269,16 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     levels = _simplex_grid(p.n, steps)
     grid = levels / float(steps)
     arcs = np.arcsin(np.sqrt(grid))  # (g, n)
-    g = grid.shape[0]
-    best_value, best_flat = _best_unrestricted(w, levels, arcs, m)
 
-    # equal-allocation restriction: the diagonal of the same product
-    equal_totals = _clamped(m * arcs) @ w
-    equal_best = int(np.argmax(equal_totals))
+    def search(rows, reps):
+        flat = _best_sequence(w, levels, reps * arcs, rows)[1]
+        start = grid[list(np.unravel_index(flat, (grid.shape[0],) * rows))]
+        return _refine_transfers(w, start, grid_step, reps)
 
-    equal_alloc = np.tile(grid[equal_best], (m, 1))
-    eq_value, eq_alloc = _refine_transfers(w, equal_alloc, grid_step, tied=True)
-
-    raw_alloc = grid[list(np.unravel_index(best_flat, (g,) * m))]
-    un_value, un_alloc = _refine_transfers(w, raw_alloc, grid_step, tied=False)
-    # the refined equal point is a valid unrestricted candidate as well
-    alt_value, alt_alloc = _refine_transfers(w, eq_alloc, grid_step, tied=False)
+    eq_value, eq_alloc = search(1, m)
+    un_value, un_alloc = search(m, 1)
+    # the refined equal point, its row at every step, is an unrestricted candidate as well
+    alt_value, alt_alloc = _refine_transfers(w, np.repeat(eq_alloc, m, axis=0), grid_step, 1)
     if alt_value > un_value:
         un_value, un_alloc = alt_value, alt_alloc
 

@@ -132,15 +132,17 @@ def _slope_at(qq, k, angle):
 def marginal(q, t: int) -> np.ndarray:
     """g'(q) with q clipped to [0, cap(t)] and the limit g'(0+) = (2t+1)^2 at 0.
 
-    q = 1 is reachable only at t = 0 (cap(0) = 1), where g is the identity
-    and k^2 = 1 is already the exact endpoint derivative.  The water-fill's
-    certificate and the duality bound's tangents both read the faces from here.
+    At t = 0, g is the identity and k^2 = 1 is its slope on all of [0, 1],
+    exactly; the slope formula would lose its bits as q nears 1.  For t >= 1
+    the cap is below 1.  The water-fill's certificate and the duality
+    bound's tangents both read the faces from here.
     """
     k = 2 * t + 1
     qc = np.minimum(np.maximum(q, 0.0), cap(t))
     out = np.full(qc.shape, float(k * k))
-    inside = (qc > 0.0) & (qc < 1.0)
-    out[inside] = slope(qc[inside], k)
+    if t:
+        inside = qc > 0.0
+        out[inside] = slope(qc[inside], k)
     return out
 
 

@@ -117,10 +117,3 @@ def load_prior(path) -> Prior:
     weights = data["weights"]
     check_json_numbers(weights, f"{path}: 'weights'")
     return new_prior(weights)
-
-
-def save_prior(p: Prior, path) -> None:
-    """Write normalized weights as JSON with 17 significant digits."""
-    body = ", ".join(format(float(w), ".17g") for w in p.weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"weights": [' + body + "]}\n")

@@ -142,8 +142,8 @@ def test_duality_bound_holds_at_any_point_of_the_box(t, raw, data):
 
 
 def test_duality_bound_at_zero_queries_next_to_a_full_item():
-    # esp.marginal reads 1.41 at the float below 1 when t=0, where the true
-    # slope is 1; that tangent put the bound 0.14 below the optimum of 2/3.
+    # The slope formula reads 1.41 at the float below 1 when t=0, where the
+    # true slope is 1; that tangent put the bound 0.14 below the optimum of 2/3.
     w = new_prior([0.5, 1.0]).weights
     q = np.array([np.nextafter(1.0, 0.0), 0.0])
     assert float(w @ q) + bounds._duality_gap(w, q, 0) >= 2.0 / 3.0 - 1e-15
@@ -296,7 +296,7 @@ def test_ceiling_bounds_every_summation_order():
 
 @contextlib.contextmanager
 def chunk_counter():
-    """Count the chunks bounds._best_unrestricted evaluates: each takes its coordinates with one np.take."""
+    """Count the chunks bounds._best_sequence evaluates: each takes its coordinates with one np.take."""
     chunks = []
     take = np.take
     with pytest.MonkeyPatch.context() as patch:
@@ -305,7 +305,11 @@ def chunk_counter():
 
 
 def check_level_table(w, m, step):
-    """Compare the level table with the per-chunk reference; return the chunks it evaluated."""
+    """Compare the level table with the per-chunk reference; return the chunks it evaluated.
+
+    The equal family's search, one row on reps * arcs, is compared with the
+    product it replaced, argmax(_clamped(reps * arcs) @ w), for reps = 1..3.
+    """
     steps = max(1, round(1.0 / step))
     levels = bounds._simplex_grid(w.size, steps)
     arcs = np.arcsin(np.sqrt(levels / float(steps)))
@@ -316,8 +320,12 @@ def check_level_table(w, m, step):
     fresh = np.arcsin(np.sqrt(np.arange(steps + 1) / float(steps)))
     assert fresh[levels].tobytes() == arcs.tobytes()
     with chunk_counter() as chunks:
-        got = bounds._best_unrestricted(w, levels, arcs, m)
+        got = bounds._best_sequence(w, levels, arcs, m)
     assert repr(got) == repr(reference_unrestricted(w, arcs, m)), (w.tolist(), m, step)
+    for reps in (1, 2, 3):
+        totals = bounds._clamped(reps * arcs) @ w
+        equal = (float(totals.max()), int(np.argmax(totals)))
+        assert repr(bounds._best_sequence(w, levels, reps * arcs, 1)) == repr(equal), (w.tolist(), reps, step)
     return len(chunks)
 
 
@@ -376,9 +384,11 @@ def test_level_table_matches_on_both_sides_of_the_ceiling(name, m, step, chunks)
 
 
 def test_grid_search_stops_at_the_ceiling():
+    # one chunk for the equal family's one-row search, one for the m = 3
+    # search, which stops at its first
     with chunk_counter() as chunks:
         lemma_a1_search(verify_m3_prior(0), 3)
-    assert len(chunks) == 1
+    assert len(chunks) == 2
 
 
 def report_digest(reports):
@@ -409,7 +419,12 @@ def test_bound_reports_keep_their_bits():
 
 
 def reference_refine(w, alloc, step0, tied):
-    """bounds._refine_transfers one candidate transfer at a time."""
+    """bounds._refine_transfers one candidate transfer at a time.
+
+    ``tied`` moves every row by row 0's transfer, so m identical rows stay
+    identical: the equal family as m rows, which the search runs as one row
+    used m times.
+    """
 
     def objective(a):
         angles = np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))).sum(axis=0)
@@ -449,9 +464,9 @@ def refinement_inputs(searches):
     calls = []
     refine = bounds._refine_transfers
 
-    def record(w, alloc, step0, tied):
-        calls.append((w, alloc.copy(), step0, tied))
-        return refine(w, alloc, step0, tied)
+    def record(w, alloc, step0, reps):
+        calls.append((w, alloc.copy(), step0, reps))
+        return refine(w, alloc, step0, reps)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds, "_refine_transfers", record)
@@ -474,10 +489,10 @@ def refinement_cases(kind):
         # saturated, then one 3.3e-10 below it that a transfer lifts
         thirds = new_prior([1.0, 1.0, 1.0]).weights
         return [
-            (thirds, np.eye(3), 0.05, False),
-            (new_prior([1.0, 1.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 0.05, False),
-            (new_prior([1.0, 0.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0]] * 2), 0.05, True),
-            (thirds, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 0.0, 1.0 - 1e-9]]), 0.05, False),
+            (thirds, np.eye(3), 0.05, 1),
+            (new_prior([1.0, 1.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 0.05, 1),
+            (new_prior([1.0, 0.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0]]), 0.05, 2),
+            (thirds, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 0.0, 1.0 - 1e-9]]), 0.05, 1),
         ]
     priors = [new_prior([1.0, 0.0, 0.0]), new_prior([1.0, 1.0, 0.0]), sample_random_prior(2, 42)]
     return refinement_inputs((p, m, 0.05) for p in priors for m in (1, 2, 3))
@@ -485,22 +500,26 @@ def refinement_cases(kind):
 
 @pytest.mark.parametrize("kind", ["verify", "criterion-06", "thirds", "edges", "ceiling"])
 def test_stacked_refinement_matches_one_transfer_at_a_time(kind, monkeypatch):
+    # One row used reps times against reps identical rows moved together.
     cases = refinement_cases(kind)
-    assert {tied for *_, tied in cases} == {True, False}
+    assert {reps > 1 for *_, reps in cases} == {True, False}
     # A start at the ceiling returns after evaluating only itself.
     evaluations = []
     objective = bounds._alloc_objective
     monkeypatch.setattr(
-        bounds, "_alloc_objective", lambda w, allocs: evaluations.append(1) or objective(w, allocs)
+        bounds, "_alloc_objective", lambda *args: evaluations.append(1) or objective(*args)
     )
     early = []
-    for w, alloc, step0, tied in cases:
+    for w, alloc, step0, reps in cases:
         evaluations.clear()
-        value, refined = bounds._refine_transfers(w, alloc, step0, tied)
+        value, refined = bounds._refine_transfers(w, alloc, step0, reps)
         early.append(len(evaluations) == 1)
-        ref_value, ref_refined = reference_refine(w, alloc, step0, tied)
-        assert repr(value) == repr(ref_value), (w.tolist(), alloc.tolist(), step0, tied)
-        assert refined.tobytes() == ref_refined.tobytes(), (w.tolist(), alloc.tolist(), step0, tied)
+        rows = np.repeat(alloc, reps, axis=0)
+        ref_value, ref_refined = reference_refine(w, rows, step0, reps > 1)
+        assert repr(value) == repr(ref_value), (w.tolist(), alloc.tolist(), step0, reps)
+        assert np.repeat(refined, reps, axis=0).tobytes() == ref_refined.tobytes(), (
+            w.tolist(), alloc.tolist(), step0, reps
+        )
     if kind == "ceiling":
         assert early == [True, True, True, False]
     if kind == "verify":

@@ -18,7 +18,6 @@ from qsearch import (
     new_prior,
     parse_qasm,
     run_gate_circuit,
-    save_prior,
 )
 from qsearch import bounds
 from qsearch import circuits as qc
@@ -28,7 +27,7 @@ NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
 
 def write_prior(tmp_path, p, name="prior.json"):
     path = tmp_path / name
-    save_prior(p, path)
+    path.write_text(json.dumps({"weights": p.weights.tolist()}))
     return path
 
 
@@ -383,10 +382,12 @@ def scaled_plans(solve, factor):
 
 
 def lowered_when_tied(amount):
+    """Lower the value of the equal family's refinement, one row used reps > 1 times."""
+
     def fault(refine):
-        def lowered(w, alloc, step0, tied):
-            value, best = refine(w, alloc, step0, tied)
-            return (value - amount if tied else value), best
+        def lowered(w, alloc, step0, reps):
+            value, best = refine(w, alloc, step0, reps)
+            return (value - amount if reps > 1 else value), best
 
         return lowered
 

@@ -216,6 +216,13 @@ def test_marginal_face_values():
     assert marginal(np.array([0.0, 0.5, 1.0]), 0).tolist() == [1.0, 1.0, 1.0]
 
 
+def test_marginal_is_exactly_one_at_zero_queries():
+    # The slope formula reads 1.414 at the float below 1 and 1 + 4e-9 at
+    # 1 - 2^-52; at t = 0 g is the identity, with slope 1 everywhere.
+    q = np.array([np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 0.5, 0.0, 1.0])
+    assert marginal(q, 0).tolist() == [1.0] * 5
+
+
 @pytest.mark.parametrize("t", [1, 2, 4, 10, 22, 64])
 def test_curvature_is_the_derivative_of_slope(t):
     # g'' against a central difference of g', from deep in the series branch

@@ -12,7 +12,6 @@ from qsearch import (
     load_prior,
     new_prior,
     sample_random_prior,
-    save_prior,
     top_k_mass,
 )
 
@@ -151,18 +150,6 @@ def test_top_k_sorts_internally_without_touching_input():
     p = new_prior([0.1, 0.7, 0.2])
     assert top_k_mass(p, 1) == pytest.approx(0.7)
     assert p.weights.tolist() == pytest.approx([0.1, 0.7, 0.2])
-
-
-def test_json_round_trip(tmp_path):
-    path = tmp_path / "prior.json"
-    p = sample_random_prior(9, 5)
-    save_prior(p, path)
-    loaded = load_prior(path)
-    assert loaded.weights.tolist() == p.weights.tolist()
-    # 17 significant digits are enough to round-trip any double exactly
-    text = path.read_text()
-    assert text.startswith('{"weights": [')
-    assert json.loads(text)["weights"] == p.weights.tolist()
 
 
 def test_loader_normalizes(tmp_path):
