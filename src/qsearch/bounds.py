@@ -1,6 +1,6 @@
 """Independent certification of the optimal plans.
 
-Two checks, both ignorant of how the water-filling solver works:
+Three checks, each ignorant of how the water-filling solver works:
 
 * an upper bound on any t-query strategy, by weak duality (Boyd and
   Vandenberghe, Convex Optimization, section 5.2) over the uncapped simplex
@@ -10,24 +10,20 @@ Two checks, both ignorant of how the water-filling solver works:
   the per-item cap does not reduce the attainable maximum.  The bound holds
   wherever q and the multiplier come from: a wrong solver only makes it
   looser;
+* Lemma A1's exchange map, O(m n) at every n and m: m per-step allocations
+  to one allocation used m times, of the same value and no more budget, and
+  at m = 2t+1 under cap(t), so a plan of the solver's problem;
 * a grid search over per-step amplitude allocations, checking that letting
   every query use a different allocation never beats reusing one fixed
-  allocation by more than grid slack.  One search serves m allocations and
-  one allocation used m times.  f^2 is evaluated once per tuple of per-step
-  grid levels, and every allocation sequence reads its coordinates from
-  that table.  The winners are refined by pairwise mass transfers, each
-  sweep's candidate transfers evaluated as one stack.  Both stop once
-  a total reaches ``_ceiling(w)``, the largest float any summation order
-  rounds sum(w) to.  Every f^2 lies in [0, 1] and every weight is >= 0, so
-  each product rounds to at most its weight and each sum rounds
-  monotonically: no total can exceed the ceiling, so nothing past it wins.
-
-The grid's refinement sums its objectives with ``np.vecdot``, which calls
-BLAS ddot once per row and so gives each row the bits of ``w @ row``; a
-matrix-vector product sums some rows in another order, which would make its
-values depend on the batch they were evaluated in.
-
-Desk-scale caps keep the grid cheap: n <= 3 / m <= 3 / step >= 0.02.
+  allocation by more than grid slack.  One enumeration serves m
+  allocations and one allocation used m times.  f^2 is evaluated once per
+  tuple of per-step grid levels, and every allocation sequence reads its
+  coordinates from that table.  It stops once a total reaches
+  ``_ceiling(w)``, the largest float any summation order rounds sum(w) to.
+  Every f^2 lies in [0, 1] and every weight is >= 0, so each product rounds
+  to at most its weight and each sum rounds monotonically: no total can
+  exceed the ceiling, so nothing past it wins.  Desk-scale caps keep the
+  grid cheap: n <= 3 / m <= 3 / step >= 0.02.
 """
 
 from __future__ import annotations
@@ -67,6 +63,20 @@ def _clamped(angles: np.ndarray) -> np.ndarray:
     """f(angle)^2 elementwise: sin(angle)^2 below pi/2, exactly 1 from there on."""
     vals = np.sin(np.minimum(angles, _HALF_PI)) ** 2
     return np.where(angles >= _HALF_PI, 1.0, vals)
+
+
+def exchange_map(u: np.ndarray):
+    """Per-step allocations u, (m, n), to the totals Theta_x = sum_t arcsin sqrt(u_{t,x}) and q.
+
+    q_x = sin^2(min(Theta_x, pi/2) / m) used at all m steps reaches the same
+    clamped angle, m arcsin sqrt(q_x) = min(Theta_x, pi/2): at m = 2t+1,
+    sum_x p_x f(Theta_x)^2 = ESP(p, (q, t)) and q <= cap(t).  With rows on the
+    simplex sum(q) <= 1: sin^2 a + sin^2 b = 1 - cos(a+b) cos(a-b) >=
+    2 sin^2((a+b)/2) for a + b <= pi/2, so equal angles never spend more, and
+    lowering a total past pi/2 to pi/2 spends less.
+    """
+    theta = np.arcsin(np.sqrt(u)).sum(axis=0)
+    return theta, np.sin(np.minimum(theta, _HALF_PI) / u.shape[0]) ** 2
 
 
 def _duality_gap(w: np.ndarray, q: np.ndarray, t: int) -> float:
@@ -181,81 +191,20 @@ def _best_sequence(w: np.ndarray, levels: np.ndarray, arcs: np.ndarray, m: int):
     return best_value, best_flat
 
 
-def _alloc_objective(w: np.ndarray, allocs: np.ndarray, reps: int) -> np.ndarray:
-    """Value of each allocation in a (K, rows, n) stack, every row used for ``reps`` query steps."""
-    angles = reps * np.arcsin(np.sqrt(np.clip(allocs, 0.0, 1.0))).sum(axis=1)
-    return np.vecdot(_clamped(angles), w)
-
-
-def _refine_transfers(w: np.ndarray, alloc: np.ndarray, step0: float, reps: int):
-    """Coordinate ascent by pairwise mass transfers, shrinking the step.
-
-    A sweep tries every transfer (row, i -> j) in order and takes each one
-    that improves the value, every row used for ``reps`` steps.  The
-    transfers still ahead in a sweep are built from the current allocation
-    and evaluated as one stack; the first improving one is taken and the
-    scan resumes after it, from the new allocation, so the order of a
-    one-at-a-time scan is kept.
-
-    One allocation used m times is one row with reps = m, which has the
-    bits of m identical rows moved together: their angles added in order
-    are a + a, exact, at m = 2 and (a + a) + a, the one rounding of 3a, at
-    m = 3, as is 3 * a.  The grid search takes m <= 3.
-    """
-    alloc = alloc.copy()
-    rows, n = alloc.shape
-    # every transfer (row, i -> j) in scan order
-    row, i, j = np.array(
-        [(r, a, b) for r in range(rows) for a in range(n) for b in range(n) if a != b],
-        dtype=np.intp,
-    ).reshape(-1, 3).T
-    value = float(_alloc_objective(w, alloc[None], reps)[0])
-    # every candidate is at most the ceiling, so none can beat value + 1e-15
-    if value + 1e-15 >= _ceiling(w):
-        return value, alloc
-    delta = step0
-    sweeps = 0
-    while delta > 1e-10 and sweeps < 500:
-        sweeps += 1
-        improved = False
-        start = 0
-        while start < row.size:
-            amount = np.minimum(delta, alloc[row[start:], i[start:]])
-            ahead = np.flatnonzero(amount > 0.0)
-            if not ahead.size:
-                break
-            amount = amount[ahead]
-            ahead += start
-            cand = np.broadcast_to(alloc, (ahead.size, rows, n)).copy()
-            stack = np.arange(ahead.size)
-            cand[stack, row[ahead], i[ahead]] -= amount
-            cand[stack, row[ahead], j[ahead]] += amount
-            values = _alloc_objective(w, cand, reps)
-            up = np.flatnonzero(values > value + 1e-15)
-            if not up.size:
-                break
-            alloc, value = cand[up[0]], float(values[up[0]])
-            improved = True
-            start = ahead[up[0]] + 1
-        if not improved:
-            delta *= 0.5
-    return value, alloc
-
-
 def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     """Grid check that per-step allocations gain nothing over a fixed one.
 
     Compares two families of simplex allocations on a grid of the requested
     resolution by sum_x p_x f(sum_t arcsin sqrt(u_{t,x}))^2: m allocations,
     one per query step, and one allocation used m times.  Both go through
-    one search, enumeration then pairwise-transfer ascent, run on m rows
-    used once and on one row used m times.  The refined equal solution, its
-    row at every step, also seeds a refinement of the m allocations, so the
-    reported gap (residual field) is never negative.
+    one enumeration, ``_best_sequence``, run on m rows used once and on one
+    row used m times.  The first family holds every row of the second used
+    at each step, so the reported gap (residual field) is >= 0 up to the
+    rounding of the product that sums each family's totals.
 
-    The enumeration ends, and a refinement returns its start, once a total
-    reaches ``_ceiling(w)``, the largest value any summation order gives
-    the weights; the result is the exhaustive search's, bit for bit.
+    The enumeration ends once a total reaches ``_ceiling(w)``, the largest
+    value any summation order gives the weights; the result is the
+    exhaustive search's, bit for bit.
     """
     check_int(m, "m", 1)
     if not 0.0 < grid_step <= 1.0:
@@ -269,21 +218,11 @@ def lemma_a1_search(p: Prior, m: int, grid_step: float = 0.05) -> BoundReport:
     levels = _simplex_grid(p.n, steps)
     grid = levels / float(steps)
     arcs = np.arcsin(np.sqrt(grid))  # (g, n)
-
-    def search(rows, reps):
-        flat = _best_sequence(w, levels, reps * arcs, rows)[1]
-        start = grid[list(np.unravel_index(flat, (grid.shape[0],) * rows))]
-        return _refine_transfers(w, start, grid_step, reps)
-
-    eq_value, eq_alloc = search(1, m)
-    un_value, un_alloc = search(m, 1)
-    # the refined equal point, its row at every step, is an unrestricted candidate as well
-    alt_value, alt_alloc = _refine_transfers(w, np.repeat(eq_alloc, m, axis=0), grid_step, 1)
-    if alt_value > un_value:
-        un_value, un_alloc = alt_value, alt_alloc
-
+    eq_value = _best_sequence(w, levels, m * arcs, 1)[0]
+    un_value, flat = _best_sequence(w, levels, arcs, m)
+    achiever = grid[list(np.unravel_index(flat, (grid.shape[0],) * m))]
     return BoundReport(
         bound_value=min(1.0, un_value),
-        achiever=un_alloc,
+        achiever=achiever,
         residual=un_value - eq_value,
     )

@@ -21,18 +21,22 @@ import sys
 import numpy as np
 
 from . import circuits as qc
-from .bounds import lemma_a1_search, theorem_a2_bound
+# verify no longer calls lemma_a1_search; it stays imported because
+# perfbench/tracing.py's LAYERS entry "bounds.lemma_a1_search" wraps it here.
+from .bounds import _clamped, exchange_map, lemma_a1_search, theorem_a2_bound  # noqa: F401
 from .errors import InvalidInput, NumericalFailure, ResourceLimit, check_int
 from .esp import (
     METHODS,
     AmplitudePlan,
+    cap,
     esp,
+    marginal,
     ranking_baseline,
     speedup_plan,
     success_prob_single,
     uniform_plan,
 )
-from .optimizer import kkt_residual, optimize, save_plan
+from .optimizer import _TOL, kkt_residual, optimize, save_plan
 from .prior import Prior, l1_distance, load_prior, new_prior, sample_random_prior, top_k_mass
 from .simulator import run_iterations
 
@@ -176,6 +180,44 @@ def _check_kkt(args, rng) -> tuple:
     return True, f"worst residual = {worst:.3e} over {args.trials} solves"
 
 
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+#: Rounding charged to each term of a checked sum for its own evaluation, in
+#: units of _U: a chain of a few square roots, sines and arcsines, each within
+#: 4 ulp (8u), and of products and quotients, each within u.  Every chain the
+#: two checks below evaluate stays under 40u of the bound they give its term.
+_CHAIN = 40
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
+
+    A float sum of k terms is within gamma_k times the sum of their
+    magnitudes (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    4.2); gamma_{n + _CHAIN} also covers each term's own evaluation.
+    """
+    return k * _U / (1.0 - k * _U)
+
+
+def _duality_limit(p: Prior, q: np.ndarray, t: int) -> float:
+    """Rounding bound on |residual| of the duality bound at the solver's plan q.
+
+    In exact arithmetic the residual is lam (1 - sum(q)) plus tangent terms
+    that vanish at the optimum, so at most lam _TOL once sum(q) lies in the
+    solver's window [1 - _TOL, 1]; lam is one of the a_i = p_i g'(q_i), so at
+    most their largest.  In floats it adds three n-term sums (the two ESPs,
+    sum(q) times lam, the tangent terms), whose terms total at most
+    S = 2 + 2 n cap k^2 max(p): each ESP is at most 1, lam and every |d_i|
+    at most max(p) g'(0) = k^2 max(p), sum(q) <= n cap, and each tangent
+    term at most |d_i| cap.
+    """
+    k, c = 2 * t + 1, cap(t)
+    lam = float((p.weights * marginal(q, t)).max())
+    terms = 2.0 + 2.0 * p.n * c * k * k * float(p.weights.max())
+    return _gamma(p.n + _CHAIN) * terms + lam * _TOL
+
+
 def _check_a2(args, rng) -> tuple:
     cases = min(args.trials, 5)
     worst = 0.0
@@ -183,32 +225,62 @@ def _check_a2(args, rng) -> tuple:
         n = int(rng.integers(2, args.n_max + 1))
         t = int(rng.integers(1, args.t_max + 1))
         p = sample_random_prior(n, int(rng.integers(0, 2**63)))
-        residual = abs(theorem_a2_bound(p, t).residual)
+        report = theorem_a2_bound(p, t)
+        residual = abs(report.residual)
         worst = max(worst, residual)
-        if residual > 1e-6:
+        if residual > _duality_limit(p, report.achiever, t):
             return False, f"duality bound residual {residual:.3e} at n={n} t={t}"
     return True, f"worst residual = {worst:.3e} over {cases} bounds"
 
 
-#: Largest gap the allocation-grid check allows.  Lemma A1 makes the true gap
-#: 0; over 1,000 random priors at each of n = 2, 3 and m = 2, 3 the worst
-#: gap seen was 8.9e-16 (rounding of two refined values).  The margin to 1e-6,
-#: the ascent-bound check's tolerance, is far above that rounding and far
-#: below an equal-allocation value understated by 0.05.
-_A1_GAP_LIMIT = 1e-6
-
-
 def _check_a1(args, rng) -> tuple:
-    cases = min(args.trials, 3)
-    worst = -math.inf
-    for index in range(cases):
-        m = 2 + index % 2
-        p = sample_random_prior(3, int(rng.integers(0, 2**63)))
-        gap = lemma_a1_search(p, m).residual
-        worst = max(worst, gap)
-        if gap > _A1_GAP_LIMIT:
-            return False, f"per-step allocations beat equal by {gap:.3e} at m={m}"
-    return True, f"worst gap = {worst:.3e} over {cases} grids"
+    """Lemma A1 by its exchange map, at m = 2t+1 steps.
+
+    Each draw takes m per-step allocations, rows on the simplex with about
+    30% zero entries; every other draw gives one item at least half of
+    every row, so its total angle passes pi/2.  The map's q must keep the
+    budget and the cap, reach the per-step value exactly and stay at most
+    the solver's ESP.  The limits are rounding bounds:
+
+    * sum(q): each q carries 2 gamma_m + 40u of its angle sum and its sine,
+      the rows sum to 1 within gamma_n and sum(q) rounds within gamma_n;
+    * q <= cap(t): the clamped q and cap(t) are the same sine of the same
+      float pi / (2m), each within _CHAIN u;
+    * the two values are two n-term sums of p_i times a value in [0, 1],
+      each term within _CHAIN u of the other side's (sum(p) = 1);
+    * against the solver: ESP* rises by at most k^2 max(p) per unit of
+      budget, the map may overspend by the sum's limit and the solver
+      underspends by at most _TOL.
+    """
+    worst = 0.0
+    for index in range(args.trials):
+        n = int(rng.integers(2, args.n_max + 1))
+        t = int(rng.integers(1, args.t_max + 1))
+        m = 2 * t + 1
+        p = sample_random_prior(n, int(rng.integers(0, 2**63)))
+        raw = rng.random((m, n)) * (rng.random((m, n)) >= 0.3)
+        if index % 2 == 0:
+            raw[:, int(rng.integers(n))] += raw.sum(axis=1) + 1.0
+        raw[:, int(rng.integers(n))] += 1e-3  # no row is empty
+        theta, q = exchange_map(raw / raw.sum(axis=1, keepdims=True))
+        where = f"at n={n} t={t}"
+        spent, top, c = float(q.sum()), float(q.max()), cap(t)
+        overspend = 2.0 * _gamma(n + m + _CHAIN)
+        if spent > 1.0 + overspend:
+            return False, f"the map spends sum(q) = {spent!r} > 1 {where}"
+        if top > c * (1.0 + _gamma(_CHAIN)):
+            return False, f"the map gives q = {top!r} > cap {c!r} {where}"
+        per_step = float(p.weights @ _clamped(theta))
+        equal = esp(p, AmplitudePlan(q=q, t=t))
+        value_limit = 2.0 * _gamma(n + _CHAIN)
+        diff = abs(per_step - equal)
+        worst = max(worst, diff)
+        if diff > value_limit:
+            return False, f"per-step value {per_step!r} != equal value {equal!r} {where}"
+        optimum = optimize(p, t).meta["esp"]
+        if equal > optimum + value_limit + m * m * float(p.weights.max()) * (_TOL + overspend):
+            return False, f"equal value {equal!r} > the solver's ESP {optimum!r} {where}"
+    return True, f"worst |per-step - equal| = {worst:.3e} over {args.trials} draws"
 
 
 def _check_robustness(args, rng) -> tuple:
@@ -255,8 +327,8 @@ def _check_speedup(args, rng) -> tuple:
 _VERIFY_CHECKS = (
     ("oracle-equivalence", _check_oracle_equivalence),
     ("kkt-certificate", _check_kkt),
-    ("ascent-bound", _check_a2),
-    ("allocation-grid", _check_a1),
+    ("duality-bound", _check_a2),
+    ("exchange-map", _check_a1),
     ("robustness", _check_robustness),
     ("speedup", _check_speedup),
 )

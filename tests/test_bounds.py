@@ -3,7 +3,6 @@ import functools
 import hashlib
 import io
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +36,16 @@ def test_f_clamped_shape():
 def test_f_clamped_monotone():
     ys = bounds._clamped(np.linspace(0.0, 4.0, 200))
     assert np.all(np.diff(ys) >= -1e-15)
+
+
+def test_exchange_map_keeps_equal_rows_and_saturates_past_half_pi():
+    # Three equal rows at t = 1: items 0 and 1 pass pi/2 and map to the cap,
+    # item 2 keeps its 0.2 and item 3 its 0.
+    theta, q = bounds.exchange_map(np.tile([0.5, 0.3, 0.2, 0.0], (3, 1)))
+    assert q.tolist() == pytest.approx([cap(1), cap(1), 0.2, 0.0], abs=1e-15)
+    p = new_prior([4.0, 3.0, 2.0, 1.0])
+    value = float(p.weights @ bounds._clamped(theta))
+    assert value == pytest.approx(esp(p, AmplitudePlan(q=q, t=1)), abs=1e-15)
 
 
 def test_report_validation():
@@ -218,26 +227,32 @@ def report_bits(report):
 
 @functools.cache
 def verify_bound_inputs(seeds):
-    """The arguments `qsearch verify --seed S` passes each bound, S in seeds, recorded by stubs.
+    """The (prior, t) arguments `qsearch verify --seed S` passes the duality bound, S in seeds."""
+    calls = []
 
-    Returns (ascent, grid): the (prior, t) and (prior, m, step) tuples.
-    """
-    ascent, grid = [], []
-
-    def recorder(calls):
-        def record(*args):
-            calls.append(args)
-            return SimpleNamespace(residual=0.0)
-
-        return record
+    def record(*args):
+        calls.append(args)
+        return theorem_a2_bound(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "theorem_a2_bound", recorder(ascent))
-        patch.setattr(cli, "lemma_a1_search", recorder(grid))
+        patch.setattr(cli, "theorem_a2_bound", record)
         for seed in seeds:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(["verify", "--seed", str(seed)])
-    return tuple(ascent), tuple(grid)
+    return tuple(calls)
+
+
+def verify_grid_inputs(seeds):
+    """The (prior, m) pairs `qsearch verify --seed S` passed the grid search when it ran one.
+
+    Its check drew three priors at n = 3 from verify's fourth stream,
+    PCG64([S, 3]), searched at m = 2, 3 and 2.
+    """
+    cases = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64([seed, 3]))
+        cases += [(sample_random_prior(3, int(rng.integers(0, 2**63))), 2 + index % 2) for index in range(3)]
+    return cases
 
 
 def criterion_05_inputs():
@@ -280,10 +295,11 @@ def ceiling_weights():
 
 
 def test_ceiling_bounds_every_summation_order():
-    # Totals of entries in [0, 1] are one BLAS dot per row (np.vecdot) or a
-    # matrix-vector product, whose kernels sum rows in an order that can
-    # depend on the row's position in its block; all-ones rows, the largest
-    # possible, sit at every position mod 8 of the (K, n) matrix.
+    # The grid sums totals of entries in [0, 1] with a matrix-vector product,
+    # whose kernels sum rows in an order that can depend on the row's
+    # position in its block; one BLAS dot per row (np.vecdot) is another
+    # order.  All-ones rows, the largest possible, sit at every position
+    # mod 8 of the (K, n) matrix.
     rng = np.random.Generator(np.random.PCG64(2202))
     for w in ceiling_weights():
         ceiling = bounds._ceiling(w)
@@ -355,9 +371,8 @@ def test_level_table_matches_on_criterion_06_priors():
 
 
 def verify_m3_prior(seed):
-    """The prior `qsearch verify --seed S` passes its m=3 grid."""
-    grid = verify_bound_inputs(tuple(range(6)))[1]
-    return [p for p, m in grid if m == 3][seed]
+    """The prior `qsearch verify --seed S` passed its m=3 grid."""
+    return verify_grid_inputs([seed])[1][0]
 
 
 @pytest.mark.parametrize(
@@ -406,132 +421,24 @@ def report_digest(reports):
 # that explains the bits that moved it.
 BOUND_DIGESTS = {
     "ascent": "dfba23e95d28a1b98c85440f20b4cb059580d804cfbe08f34b112f63cb64df54",
-    "grid": "008981a593f40d6d282d79a550be08d1aa1586fc3ee73791aa0bd9a61b2d0782",
+    "grid": "cfb6915f7996920800758403f306a5d042ccf63dcae89d96dd079b3f28699df7",
 }
 
 
 def test_bound_reports_keep_their_bits():
-    ascent, grid = verify_bound_inputs((0, 1, 2))
-    ascent_cases = list(ascent) + criterion_05_inputs()
-    grid_cases = list(grid) + criterion_06_inputs()
+    ascent_cases = list(verify_bound_inputs((0, 1, 2))) + criterion_05_inputs()
+    grid_cases = verify_grid_inputs((0, 1, 2)) + criterion_06_inputs()
     assert report_digest(theorem_a2_bound(*args) for args in ascent_cases) == BOUND_DIGESTS["ascent"]
     assert report_digest(lemma_a1_search(*args) for args in grid_cases) == BOUND_DIGESTS["grid"]
 
 
-def reference_refine(w, alloc, step0, tied):
-    """bounds._refine_transfers one candidate transfer at a time.
-
-    ``tied`` moves every row by row 0's transfer, so m identical rows stay
-    identical: the equal family as m rows, which the search runs as one row
-    used m times.
-    """
-
-    def objective(a):
-        angles = np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))).sum(axis=0)
-        return float(w @ bounds._clamped(angles))
-
-    alloc = alloc.copy()
-    m, n = alloc.shape
-    rows = [slice(None)] if tied else [slice(r, r + 1) for r in range(m)]
-    value = objective(alloc)
-    delta = step0
-    sweeps = 0
-    while delta > 1e-10 and sweeps < 500:
-        sweeps += 1
-        improved = False
-        for row in rows:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    amount = min(delta, float(alloc[row, i][0]))
-                    if amount <= 0.0:
-                        continue
-                    moved = alloc.copy()
-                    moved[row, i] -= amount
-                    moved[row, j] += amount
-                    cand = objective(moved)
-                    if cand > value + 1e-15:
-                        alloc, value = moved, cand
-                        improved = True
-        if not improved:
-            delta *= 0.5
-    return value, alloc
-
-
-def refinement_inputs(searches):
-    """The arguments of every _refine_transfers call the given grid searches make."""
-    calls = []
-    refine = bounds._refine_transfers
-
-    def record(w, alloc, step0, reps):
-        calls.append((w, alloc.copy(), step0, reps))
-        return refine(w, alloc, step0, reps)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bounds, "_refine_transfers", record)
-        for args in searches:
-            lemma_a1_search(*args)
-    return calls
-
-
-def refinement_cases(kind):
-    if kind == "verify":
-        return refinement_inputs(verify_bound_inputs(tuple(range(6)))[1])
-    if kind == "criterion-06":
-        return refinement_inputs(criterion_06_inputs())
-    if kind == "thirds":
-        return refinement_inputs(
-            (new_prior([1.0, 1.0, 1.0]), m, step) for m in (1, 2, 3) for step in (0.04, 0.05)
-        )
-    if kind == "ceiling":
-        # three starts whose value reaches bounds._ceiling(w), every item
-        # saturated, then one 3.3e-10 below it that a transfer lifts
-        thirds = new_prior([1.0, 1.0, 1.0]).weights
-        return [
-            (thirds, np.eye(3), 0.05, 1),
-            (new_prior([1.0, 1.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 0.05, 1),
-            (new_prior([1.0, 0.0, 0.0]).weights, np.array([[1.0, 0.0, 0.0]]), 0.05, 2),
-            (thirds, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 0.0, 1.0 - 1e-9]]), 0.05, 1),
-        ]
-    priors = [new_prior([1.0, 0.0, 0.0]), new_prior([1.0, 1.0, 0.0]), sample_random_prior(2, 42)]
-    return refinement_inputs((p, m, 0.05) for p in priors for m in (1, 2, 3))
-
-
-@pytest.mark.parametrize("kind", ["verify", "criterion-06", "thirds", "edges", "ceiling"])
-def test_stacked_refinement_matches_one_transfer_at_a_time(kind, monkeypatch):
-    # One row used reps times against reps identical rows moved together.
-    cases = refinement_cases(kind)
-    assert {reps > 1 for *_, reps in cases} == {True, False}
-    # A start at the ceiling returns after evaluating only itself.
-    evaluations = []
-    objective = bounds._alloc_objective
-    monkeypatch.setattr(
-        bounds, "_alloc_objective", lambda *args: evaluations.append(1) or objective(*args)
-    )
-    early = []
-    for w, alloc, step0, reps in cases:
-        evaluations.clear()
-        value, refined = bounds._refine_transfers(w, alloc, step0, reps)
-        early.append(len(evaluations) == 1)
-        rows = np.repeat(alloc, reps, axis=0)
-        ref_value, ref_refined = reference_refine(w, rows, step0, reps > 1)
-        assert repr(value) == repr(ref_value), (w.tolist(), alloc.tolist(), step0, reps)
-        assert np.repeat(refined, reps, axis=0).tobytes() == ref_refined.tobytes(), (
-            w.tolist(), alloc.tolist(), step0, reps
-        )
-    if kind == "ceiling":
-        assert early == [True, True, True, False]
-    if kind == "verify":
-        assert set(early) == {True, False}
-
-
 @pytest.mark.parametrize("n", range(1, 10))
 def test_vecdot_is_one_dot_per_row(n):
-    # The transfer refinement takes one np.vecdot over its rows for the bits
-    # of `w @ row` on each: both call BLAS ddot once per row.  A
-    # matrix-vector product, einsum or (V * w).sum(1) sum in another order
-    # (OpenBLAS's ddot uses FMA) and would move the grid bound.
+    # np.vecdot over rows has the bits of `w @ row` on each: both call BLAS
+    # ddot once per row, where a matrix-vector product, einsum or
+    # (V * w).sum(1) sum in another order (OpenBLAS's ddot uses FMA).  No
+    # code in src relies on it since the transfer refinement went; it stays
+    # as a probe that tells OpenBLAS kernels apart, as the bit pins need.
     rng = np.random.Generator(np.random.PCG64(n))
     wide = rng.choice([-1.0, 1.0], (5000, 2 * n)) * 10.0 ** rng.uniform(-300.0, 5.0, (5000, 2 * n))
     w = rng.random(n) * 10.0 ** rng.uniform(-300.0, 5.0, n)

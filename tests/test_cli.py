@@ -19,7 +19,6 @@ from qsearch import (
     parse_qasm,
     run_gate_circuit,
 )
-from qsearch import bounds
 from qsearch import circuits as qc
 
 NAIVE = new_prior([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
@@ -340,8 +339,8 @@ def test_verify_passes(capsys):
     assert names == [
         "oracle-equivalence",
         "kkt-certificate",
-        "ascent-bound",
-        "allocation-grid",
+        "duality-bound",
+        "exchange-map",
         "robustness",
         "speedup",
     ]
@@ -351,9 +350,9 @@ def test_verify_passes(capsys):
 # md5 of `verify --seed S` stdout at the defaults.  These move only with a
 # CHANGES.md entry that explains the bits that moved them.
 VERIFY_STDOUT_MD5 = {
-    0: "20b766004c18a3dfcd0585ad8743dd5c",
-    1: "fff5a19f9d54f23e01f60a2dbde24faa",
-    2: "12c75503eee2c8dee6790d0486a7d4a5",
+    0: "b211fe0a5a06429e50b3543ebc098e61",
+    1: "5ad4d6007a078935efeb05ee708954ec",
+    2: "02818ee49dc7509be6525ad96bfcd959",
 }
 
 
@@ -381,15 +380,23 @@ def scaled_plans(solve, factor):
     return scaled
 
 
-def lowered_when_tied(amount):
-    """Lower the value of the equal family's refinement, one row used reps > 1 times."""
+def map_without_its_clamp(exchange_map):
+    """The exchange map with q = sin^2(Theta / m), Theta no longer clamped at pi/2."""
 
-    def fault(refine):
-        def lowered(w, alloc, step0, reps):
-            value, best = refine(w, alloc, step0, reps)
-            return (value - amount if reps > 1 else value), best
+    def unclamped(u):
+        theta = exchange_map(u)[0]
+        return theta, np.sin(theta / u.shape[0]) ** 2
 
-        return lowered
+    return unclamped
+
+
+def map_scaled(factor):
+    def fault(exchange_map):
+        def scaled(u):
+            theta, q = exchange_map(u)
+            return theta, q * factor
+
+        return scaled
 
     return fault
 
@@ -400,16 +407,15 @@ VERIFY_FAULTS = {
         "kkt-certificate", cli, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST
     ),
     # bounds looks optimize up at call time, so only the duality bound sees this binding
-    "ascent-bound": (
-        "ascent-bound", qsearch.optimizer, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST
+    "duality-bound": (
+        "duality-bound", qsearch.optimizer, "optimize", lambda f: scaled_plans(f, 1.0 - 1e-4), VERIFY_FAST
     ),
-    "allocation-grid": (
-        "allocation-grid", bounds, "_refine_transfers", lowered_when_tied(0.2), VERIFY_FAST
+    # the check takes bounds._clamped through its own binding
+    "exchange-map-curve": (
+        "exchange-map", cli, "_clamped", lambda f: lambda angles: np.sin(angles) ** 2, VERIFY_FAST
     ),
-    # passed the check's former threshold of 0.1
-    "allocation-grid-0.05": (
-        "allocation-grid", bounds, "_refine_transfers", lowered_when_tied(0.05), VERIFY_FAST
-    ),
+    "exchange-map-angle": ("exchange-map", cli, "exchange_map", map_without_its_clamp, VERIFY_FAST),
+    "exchange-map-0.95": ("exchange-map", cli, "exchange_map", map_scaled(0.95), VERIFY_FAST),
     "robustness": ("robustness", cli, "l1_distance", lambda f: lambda p, q: 0.0, ["verify"]),
     # The worst loss at seed 0 is 0.047 of the distance, which this factor
     # puts between eps and the check's former 2 eps.
@@ -428,6 +434,28 @@ def test_verify_fault_fails_its_own_check(name, capsys, monkeypatch):
     failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     assert code == 4
     assert failed == [check]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_sees_a_millionth_of_the_budget_unspent(seed, capsys, monkeypatch):
+    # Every plan scaled by 1 - 1e-6, in cli's binding (the KKT check) and in
+    # the one bounds looks up at call time (the duality bound).  Where every
+    # item sits at its cap the loss is second order: the duality residual
+    # then reads 1.2e-12 to 1.3e-12, still above its rounding bound.
+    solve = qsearch.optimizer.optimize
+    for module in (cli, qsearch.optimizer):
+        monkeypatch.setattr(module, "optimize", scaled_plans(solve, 1.0 - 1e-6))
+    code = cli.main(["verify", "--seed", str(seed)])
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    assert code == 4
+    assert failed == ["kkt-certificate", "duality-bound"]
+
+
+def test_readme_lists_every_verify_check():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| check | fails on | cannot see |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    names = [row.split("|")[1].strip().strip("`") for row in table.splitlines()]
+    assert names == [name for name, _ in cli._VERIFY_CHECKS]
 
 
 def test_compare_fails_on_a_method_ordering_violation(tmp_path, capsys, monkeypatch):
