@@ -219,11 +219,22 @@ def _duality_limit(p: Prior, q: np.ndarray, t: int) -> float:
 
 
 def _check_a2(args, rng) -> tuple:
+    """The duality bound at the solver's plan, held to ``_duality_limit``.
+
+    t is drawn up to the largest t with n cap(t) > 1 (at most --t-max), so
+    that the budget binds and the plan is water-filled: where n cap(t) <= 1
+    every item sits at its cap and a wrong plan's loss is zero or second
+    order.  At n <= 4, where no t binds, t = 1.  That t is at most about
+    pi sqrt(n) / 4, so finding it costs nothing that grows with --t-max.
+    """
     cases = min(args.trials, 5)
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(2, args.n_max + 1))
-        t = int(rng.integers(1, args.t_max + 1))
+        t_fill = 1
+        while t_fill < args.t_max and n * cap(t_fill + 1) > 1.0:
+            t_fill += 1
+        t = int(rng.integers(1, t_fill + 1))
         p = sample_random_prior(n, int(rng.integers(0, 2**63)))
         report = theorem_a2_bound(p, t)
         residual = abs(report.residual)

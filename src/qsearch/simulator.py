@@ -16,12 +16,13 @@ as the least significant bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, ResourceLimit
+from .errors import InvalidInput, NumericalFailure, ResourceLimit, check_int
 from .esp import AmplitudePlan
 
 #: Largest gate-level register; dense vectors stay desk-sized below this.
@@ -48,16 +49,18 @@ class Gate:
         kind = str(self.kind).lower()
         if kind not in _GATE_ARITY:
             raise InvalidInput(f"unknown gate kind {self.kind!r}")
-        qubits = tuple(int(qb) for qb in self.qubits)
+        qubits = tuple(self.qubits)
+        for qb in qubits:
+            check_int(qb, "qubit")
+        qubits = tuple(int(qb) for qb in qubits)
         if len(qubits) != _GATE_ARITY[kind]:
             raise InvalidInput(f"{kind} takes {_GATE_ARITY[kind]} qubit(s), got {qubits}")
         if len(set(qubits)) != len(qubits):
             raise InvalidInput(f"{kind} qubits must be distinct, got {qubits}")
-        if any(qb < 0 for qb in qubits):
-            raise InvalidInput("qubit indices must be >= 0")
         if kind == "ry":
-            if self.angle is None or not math.isfinite(self.angle):
-                raise InvalidInput("ry needs a finite angle")
+            real = isinstance(self.angle, numbers.Real) and not isinstance(self.angle, bool)
+            if not real or not math.isfinite(self.angle):
+                raise InvalidInput(f"ry needs a finite real angle, got {self.angle!r}")
             object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise InvalidInput(f"{kind} takes no angle")
@@ -74,8 +77,7 @@ class GateCircuit:
     solution_label: str = ""
 
     def __post_init__(self):
-        if self.qubit_count < 1:
-            raise InvalidInput("qubit_count must be >= 1")
+        check_int(self.qubit_count, "qubit_count", 1)
         gates = tuple(self.gates)
         for g in gates:
             if max(g.qubits) >= self.qubit_count:

@@ -112,7 +112,7 @@ def test_criterion_04_optimality():
     _criterion(4, "optimality certification", 60.0, body)
 
 
-def test_criterion_05_ascent_bound():
+def test_criterion_05_duality_bound():
     def body():
         rng = np.random.Generator(np.random.PCG64(501))
         for _ in range(20):

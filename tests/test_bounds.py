@@ -53,13 +53,13 @@ def test_report_validation():
         BoundReport(bound_value=1.5, achiever=np.zeros(2), residual=0.0)
 
 
-def test_ascent_bound_on_saturating_prior():
+def test_duality_bound_on_saturating_prior():
     report = theorem_a2_bound(NAIVE, 1)
     assert report.bound_value == pytest.approx(1.0, abs=1e-9)
     assert abs(report.residual) <= 1e-9
 
 
-def test_ascent_bound_matches_uniform_optimum():
+def test_duality_bound_matches_uniform_optimum():
     p = new_prior(np.ones(8))
     report = theorem_a2_bound(p, 1)
     assert report.bound_value >= 0.78125 - 1e-9
@@ -67,7 +67,7 @@ def test_ascent_bound_matches_uniform_optimum():
     assert float(np.sum(report.achiever)) <= 1.0 + 1e-9
 
 
-def test_ascent_bound_point_mass():
+def test_duality_bound_point_mass():
     p = new_prior([1.0, 0.0, 0.0])
     report = theorem_a2_bound(p, 1)
     assert report.bound_value == pytest.approx(1.0, abs=1e-12)
@@ -75,27 +75,27 @@ def test_ascent_bound_point_mass():
     assert float(report.achiever[0]) >= 0.25 - 1e-9
 
 
-def test_ascent_bound_zero_queries():
+def test_duality_bound_zero_queries():
     report = theorem_a2_bound(NAIVE, 0)
     assert report.bound_value == pytest.approx(0.25, abs=1e-9)
     assert abs(report.residual) <= 1e-9
 
 
 @pytest.mark.parametrize("seed, n, t", [(5, 5, 1), (6, 8, 2), (7, 6, 3)])
-def test_ascent_bound_certifies_optimizer(seed, n, t):
+def test_duality_bound_certifies_optimizer(seed, n, t):
     p = sample_random_prior(n, seed)
     report = theorem_a2_bound(p, t)
     assert abs(report.residual) <= 1e-6
 
 
-def test_ascent_bound_residual_is_against_the_optimizer():
+def test_duality_bound_residual_is_against_the_optimizer():
     p = sample_random_prior(6, 9)
     report = theorem_a2_bound(p, 1)
     own = esp(p, optimize(p, 1))
     assert report.residual == pytest.approx(report.bound_value - own, abs=1e-15)
 
 
-def test_ascent_bound_residual_sees_a_plan_past_the_cap(monkeypatch):
+def test_duality_bound_residual_sees_a_plan_past_the_cap(monkeypatch):
     # The bound is taken at the plan clipped to the cap, but the residual is
     # against the plan as solved: at t=1, q=0.5 reads sin(3 pi/4)^2 = 0.5.
     monkeypatch.setattr(optimizer, "optimize", lambda p, t: AmplitudePlan(q=[0.5, 0.0, 0.0], t=t))
@@ -105,7 +105,7 @@ def test_ascent_bound_residual_sees_a_plan_past_the_cap(monkeypatch):
     assert report.achiever.tolist() == [0.5, 0.0, 0.0]
 
 
-def test_ascent_bound_limits():
+def test_duality_bound_limits():
     # One O(n) pass after the solve: no size cap, large inputs included.
     for p, t in ((new_prior(np.ones(9)), 4), (sample_random_prior(10**5, 0), 22)):
         assert -1e-15 <= theorem_a2_bound(p, t).residual <= 1e-12
@@ -113,7 +113,7 @@ def test_ascent_bound_limits():
         theorem_a2_bound(new_prior(np.ones(4)), -1)
 
 
-def test_ascent_bound_rejects_bad_t_before_ascending(monkeypatch):
+def test_duality_bound_rejects_bad_t_before_solving(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("solver ran on an invalid t")
 
@@ -122,7 +122,7 @@ def test_ascent_bound_rejects_bad_t_before_ascending(monkeypatch):
         theorem_a2_bound(sample_random_prior(8, 3), 2.5)
 
 
-def test_ascent_bound_is_one_solve_on_the_crawl_prior(monkeypatch):
+def test_duality_bound_is_one_solve_on_the_crawl_prior(monkeypatch):
     # A multi-start projected ascent crawled here until its 5,000-step cap
     # and stopped 9.99e-10 below the solver's ESP; the dual bound is one
     # solve and one pass.
@@ -205,7 +205,8 @@ def test_grid_search_limits():
 
 
 def test_grid_search_rejects_limits_before_building_the_grid(monkeypatch):
-    # The level table has (1/step + 1)^m entries, so every cap runs first.
+    # The enumeration sums all g^m sequences of the g grid points, so every
+    # cap runs first.
     def must_not_run(*args):
         raise AssertionError("grid built past a limit")
 
@@ -242,6 +243,15 @@ def verify_bound_inputs(seeds):
     return tuple(calls)
 
 
+def test_verify_draws_water_filled_plans_from_five_items():
+    # verify draws t with n cap(t) > 1, where the budget binds; at n <= 4
+    # every t leaves it slack.
+    for p, t in verify_bound_inputs((0, 1, 2)):
+        if p.n >= 5:
+            assert p.n * cap(t) > 1.0
+            assert float(optimize(p, t).q.sum()) >= 1.0 - optimizer._TOL
+
+
 def verify_grid_inputs(seeds):
     """The (prior, m) pairs `qsearch verify --seed S` passed the grid search when it ran one.
 
@@ -273,19 +283,6 @@ def criterion_06_inputs():
     ]
 
 
-def reference_unrestricted(w, arcs, m):
-    """Unrestricted grid enumeration without the level table: f^2 of every coordinate total."""
-    best_value, best_flat = -1.0, 0
-    for a, sums in enumerate(arcs if m > 1 else arcs[None]):
-        for _ in range(m - 1):
-            sums = sums[..., None, :] + arcs
-        totals = bounds._clamped(sums) @ w
-        flat = int(np.argmax(totals))
-        if float(totals.flat[flat]) > best_value:
-            best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
-    return best_value, best_flat
-
-
 def ceiling_weights():
     """Weights the ceiling must bound: random, tied and with zeros, as new_prior normalises them."""
     rng = np.random.Generator(np.random.PCG64(2201))
@@ -312,37 +309,62 @@ def test_ceiling_bounds_every_summation_order():
 
 @contextlib.contextmanager
 def chunk_counter():
-    """Count the chunks bounds._best_sequence evaluates: each takes its coordinates with one np.take."""
+    """Count the chunks bounds._best_sequence evaluates: each applies bounds._clamped once."""
     chunks = []
-    take = np.take
+    clamped = bounds._clamped
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "take", lambda *args: chunks.append(None) or take(*args))
+        patch.setattr(bounds, "_clamped", lambda angles: chunks.append(None) or clamped(angles))
         yield chunks
 
 
-def check_level_table(w, m, step):
-    """Compare the level table with the per-chunk reference; return the chunks it evaluated.
+def level_table_sequence(w, levels, arcs, m):
+    """The grid's former search, without its stop: f^2 once per tuple of levels, gathered per chunk.
 
-    The equal family's search, one row on reps * arcs, is compared with the
-    product it replaced, argmax(_clamped(reps * arcs) @ w), for reps = 1..3.
+    It adds arcs in the same order as bounds._best_sequence but reaches
+    each sequence's coordinates through a table indexed by level, so the
+    two agree bit for bit only if both index the grid alike.
+    """
+    size = int(levels.max()) + 1
+    level_arc = np.zeros(size)
+    level_arc[levels] = arcs
+    # the table holds the bits of arcs only if every level has one arc
+    assert level_arc[levels].tobytes() == arcs.tobytes()
+    table = level_arc
+    for _ in range(m - 1):
+        table = table[..., None] + level_arc
+    table = bounds._clamped(table)
+    if m == 1:
+        chunks = [(table, levels)]
+    else:
+        rest = np.arange(levels.shape[1])
+        for _ in range(m - 1):
+            rest = rest[..., None, :] * size + levels
+        table = table.reshape(size, -1)
+        chunks = [(table[first], rest) for first in levels]
+    best_value, best_flat = -1.0, 0
+    for a, (block, index) in enumerate(chunks):
+        totals = np.take(block, index) @ w
+        flat = int(np.argmax(totals))
+        if float(totals.flat[flat]) > best_value:
+            best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
+    return best_value, best_flat
+
+
+def check_level_table(w, m, step):
+    """Compare bounds._best_sequence, stopped at the ceiling, with the level table run to the end.
+
+    The equal family's one-row search on reps * arcs is compared likewise,
+    for reps = 1..3.
     """
     steps = max(1, round(1.0 / step))
     levels = bounds._simplex_grid(w.size, steps)
     arcs = np.arcsin(np.sqrt(levels / float(steps)))
-    # Every level has one arc, so a table indexed by level holds the bits of arcs.
-    level_arc = np.zeros(steps + 1)
-    level_arc[levels] = arcs
-    assert level_arc[levels].tobytes() == arcs.tobytes()
-    fresh = np.arcsin(np.sqrt(np.arange(steps + 1) / float(steps)))
-    assert fresh[levels].tobytes() == arcs.tobytes()
-    with chunk_counter() as chunks:
-        got = bounds._best_sequence(w, levels, arcs, m)
-    assert repr(got) == repr(reference_unrestricted(w, arcs, m)), (w.tolist(), m, step)
+    got = bounds._best_sequence(w, arcs, m)
+    assert repr(got) == repr(level_table_sequence(w, levels, arcs, m)), (w.tolist(), m, step)
     for reps in (1, 2, 3):
-        totals = bounds._clamped(reps * arcs) @ w
-        equal = (float(totals.max()), int(np.argmax(totals)))
-        assert repr(bounds._best_sequence(w, levels, reps * arcs, 1)) == repr(equal), (w.tolist(), reps, step)
-    return len(chunks)
+        got = bounds._best_sequence(w, reps * arcs, 1)
+        want = level_table_sequence(w, levels, reps * arcs, 1)
+        assert repr(got) == repr(want), (w.tolist(), reps, step)
 
 
 @pytest.mark.parametrize(
@@ -384,18 +406,25 @@ def verify_m3_prior(seed):
         ("verify-3", 3, 0.05, 231),
     ],
 )
-def test_level_table_matches_on_both_sides_of_the_ceiling(name, m, step, chunks):
+def test_stopped_enumeration_matches_the_unstopped_one(name, m, step, chunks, monkeypatch):
     # The enumeration stops once a total reaches bounds._ceiling(w).  Seed 3's
     # weights round to 1.0 in the product's order and to 1.0000000000000002
     # in another, so no total reaches the ceiling and all 231 chunks run.
-    # The tied priors run at step 0.1: step 0.05 is in the test above.
-    priors = {
+    w = {
         "thirds": new_prior([1.0] * 3),
         "verify-0": verify_m3_prior(0),
         "zero-weight": new_prior([1.0, 1.0, 0.0]),
         "verify-3": verify_m3_prior(3),
-    }
-    assert check_level_table(priors[name].weights, m, step) == chunks
+    }[name].weights
+    steps = round(1.0 / step)
+    arcs = np.arcsin(np.sqrt(bounds._simplex_grid(w.size, steps) / float(steps)))
+    with chunk_counter() as stopped_chunks:
+        stopped = bounds._best_sequence(w, arcs, m)
+    monkeypatch.setattr(bounds, "_ceiling", lambda w: math.inf)
+    with chunk_counter() as all_chunks:
+        unstopped = bounds._best_sequence(w, arcs, m)
+    assert (len(stopped_chunks), len(all_chunks)) == (chunks, len(arcs))
+    assert repr(stopped) == repr(unstopped)
 
 
 def test_grid_search_stops_at_the_ceiling():
@@ -420,15 +449,15 @@ def report_digest(reports):
 # make, one digest per bound.  A digest moves only with a CHANGES.md entry
 # that explains the bits that moved it.
 BOUND_DIGESTS = {
-    "ascent": "dfba23e95d28a1b98c85440f20b4cb059580d804cfbe08f34b112f63cb64df54",
+    "duality": "06d0ebf10d453709e0595006603560b5ed072cdc61d2cf0267265e33150cedc6",
     "grid": "cfb6915f7996920800758403f306a5d042ccf63dcae89d96dd079b3f28699df7",
 }
 
 
 def test_bound_reports_keep_their_bits():
-    ascent_cases = list(verify_bound_inputs((0, 1, 2))) + criterion_05_inputs()
+    duality_cases = list(verify_bound_inputs((0, 1, 2))) + criterion_05_inputs()
     grid_cases = verify_grid_inputs((0, 1, 2)) + criterion_06_inputs()
-    assert report_digest(theorem_a2_bound(*args) for args in ascent_cases) == BOUND_DIGESTS["ascent"]
+    assert report_digest(theorem_a2_bound(*args) for args in duality_cases) == BOUND_DIGESTS["duality"]
     assert report_digest(lemma_a1_search(*args) for args in grid_cases) == BOUND_DIGESTS["grid"]
 
 

@@ -350,9 +350,9 @@ def test_verify_passes(capsys):
 # md5 of `verify --seed S` stdout at the defaults.  These move only with a
 # CHANGES.md entry that explains the bits that moved them.
 VERIFY_STDOUT_MD5 = {
-    0: "b211fe0a5a06429e50b3543ebc098e61",
-    1: "5ad4d6007a078935efeb05ee708954ec",
-    2: "02818ee49dc7509be6525ad96bfcd959",
+    0: "0e895eed99aad60d1ad4c4ce28c74c3e",
+    1: "4354953d1ab7006a42db00e0573b4061",
+    2: "76f61036fa232aee2dd2825521e038b9",
 }
 
 
@@ -439,9 +439,8 @@ def test_verify_fault_fails_its_own_check(name, capsys, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_verify_sees_a_millionth_of_the_budget_unspent(seed, capsys, monkeypatch):
     # Every plan scaled by 1 - 1e-6, in cli's binding (the KKT check) and in
-    # the one bounds looks up at call time (the duality bound).  Where every
-    # item sits at its cap the loss is second order: the duality residual
-    # then reads 1.2e-12 to 1.3e-12, still above its rounding bound.
+    # the one bounds looks up at call time (the duality bound).  Each seed's
+    # first duality draw water-fills, and its residual reads 4.7e-7 to 5.7e-7.
     solve = qsearch.optimizer.optimize
     for module in (cli, qsearch.optimizer):
         monkeypatch.setattr(module, "optimize", scaled_plans(solve, 1.0 - 1e-6))
@@ -449,6 +448,31 @@ def test_verify_sees_a_millionth_of_the_budget_unspent(seed, capsys, monkeypatch
     failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     assert code == 4
     assert failed == ["kkt-certificate", "duality-bound"]
+
+
+def extremes_swapped(solve):
+    """Plans with the q of the heaviest and the lightest item swapped."""
+
+    def swapped(p, t):
+        plan = solve(p, t)
+        q = plan.q.copy()
+        ends = [int(np.argmax(p.weights)), int(np.argmin(p.weights))]
+        q[ends] = q[ends[::-1]]
+        return AmplitudePlan(q=q, t=plan.t, meta=plan.meta)
+
+    return swapped
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_duality_bound_sees_the_extremes_swapped(seed, capsys, monkeypatch):
+    # bounds looks optimize up at call time, so only the duality bound sees
+    # the swap.  Each seed's first draw water-fills, and the swap costs it
+    # 0.17, 0.40 and 0.57 on seeds 0, 1 and 2.
+    monkeypatch.setattr(qsearch.optimizer, "optimize", extremes_swapped(qsearch.optimizer.optimize))
+    code = cli.main(["verify", "--seed", str(seed)])
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    assert code == 4
+    assert failed == ["duality-bound"]
 
 
 def test_readme_lists_every_verify_check():

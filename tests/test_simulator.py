@@ -97,11 +97,23 @@ def test_reflection_sign_is_a_global_phase():
         ("ry", (0,), None),
         ("ry", (0,), math.nan),
         ("x", (0,), 0.5),
+        ("h", (1.5,), None),
+        ("h", (True,), None),
+        ("h", ("1",), None),
+        ("ry", (0,), True),
+        ("ry", (0,), "1.0"),
     ],
 )
 def test_gate_rejects_malformed(kind, qubits, angle):
     with pytest.raises(InvalidInput):
         Gate(kind=kind, qubits=qubits, angle=angle)
+
+
+def test_gate_and_circuit_take_numpy_numbers():
+    gate = Gate(kind="ry", qubits=(np.int64(1),), angle=np.float32(0.5))
+    assert gate.qubits == (1,) and type(gate.qubits[0]) is int
+    assert gate.angle == 0.5 and type(gate.angle) is float
+    assert GateCircuit(qubit_count=np.int64(2), gates=(gate,)).qubit_count == 2
 
 
 def test_gate_normalizes_kind():
@@ -118,6 +130,9 @@ def test_circuit_rejects_out_of_range_gate():
         GateCircuit(qubit_count=2, gates=(), solution_label="2x")
     with pytest.raises(InvalidInput):
         GateCircuit(qubit_count=0, gates=())
+    for count in (2.5, "3", True):
+        with pytest.raises(InvalidInput):
+            GateCircuit(qubit_count=count, gates=())
 
 
 def test_register_cap():
