@@ -199,7 +199,7 @@ def block_amplitude(theta: float, high: bool) -> float:
 
 def solution_outcome(solution: str) -> int:
     """Basis index named by a 'b2b1b0' label (qubit 0 is the LSB)."""
-    if len(solution) != 3 or any(ch not in "01" for ch in solution):
+    if not isinstance(solution, str) or len(solution) != 3 or any(ch not in "01" for ch in solution):
         raise InvalidInput(f"solution must be 3 bits, got {solution!r}")
     return int(solution, 2)
 

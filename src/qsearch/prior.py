@@ -89,6 +89,7 @@ def sample_random_prior(n: int, seed: int) -> Prior:
     the OS or hardware.
     """
     check_int(n, "n", 1)
+    check_int(seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     return new_prior(rng.random(n))
 

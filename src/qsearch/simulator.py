@@ -49,6 +49,8 @@ class Gate:
         kind = str(self.kind).lower()
         if kind not in _GATE_ARITY:
             raise InvalidInput(f"unknown gate kind {self.kind!r}")
+        if not isinstance(self.qubits, (tuple, list)):
+            raise InvalidInput(f"qubits must be a tuple of integers, got {self.qubits!r}")
         qubits = tuple(self.qubits)
         for qb in qubits:
             check_int(qb, "qubit")
@@ -78,13 +80,17 @@ class GateCircuit:
 
     def __post_init__(self):
         check_int(self.qubit_count, "qubit_count", 1)
+        if not isinstance(self.gates, (tuple, list)):
+            raise InvalidInput(f"gates must be a tuple of Gate, got {self.gates!r}")
         gates = tuple(self.gates)
         for g in gates:
+            if not isinstance(g, Gate):
+                raise InvalidInput(f"not a Gate: {g!r}")
             if max(g.qubits) >= self.qubit_count:
                 raise InvalidInput(
                     f"gate {g.kind} on {g.qubits} exceeds register of {self.qubit_count}"
                 )
-        if self.solution_label and (
+        if not isinstance(self.solution_label, str) or self.solution_label and (
             len(self.solution_label) != self.qubit_count
             or any(ch not in "01" for ch in self.solution_label)
         ):
@@ -109,8 +115,7 @@ def run_iterations(plan: AmplitudePlan, x: int) -> float:
     2 s (s.a) - a; the opposite sign convention differs by a global phase
     only, which cannot change any measured probability.
     """
-    if not 1 <= x <= plan.n:
-        raise InvalidInput(f"item index must be in [1, {plan.n}], got {x}")
+    check_int(x, "x", 1, plan.n)
     s = prepare_state(plan)
     a = s.copy()
     for _ in range(plan.t):

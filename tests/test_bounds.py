@@ -291,20 +291,21 @@ def ceiling_weights():
     return weights + [new_prior(raw).weights for raw in fixed]
 
 
-def test_ceiling_bounds_every_summation_order():
-    # The grid sums totals of entries in [0, 1] with a matrix-vector product,
-    # whose kernels sum rows in an order that can depend on the row's
-    # position in its block; one BLAS dot per row (np.vecdot) is another
-    # order.  All-ones rows, the largest possible, sit at every position
-    # mod 8 of the (K, n) matrix.
+def test_weighted_sums_stay_within_the_ceiling():
+    # The grid sums totals of entries in [0, 1] by bounds._weighted_sum, in
+    # one written order.  No total exceeds the ceiling, and all-ones rows,
+    # the largest possible, reach it bit for bit, in 2-D and 3-D tables.
     rng = np.random.Generator(np.random.PCG64(2202))
     for w in ceiling_weights():
         ceiling = bounds._ceiling(w)
         table = rng.random((64, w.size))
         table[rng.random(table.shape) < 0.3] = 1.0
-        table[np.arange(0, 64, 9)] = 1.0
-        for totals in (table @ w, np.vecdot(table, w), table.reshape(8, 8, w.size) @ w):
+        ones = np.arange(0, 64, 9)
+        table[ones] = 1.0
+        for shape in (table.shape, (8, 8, w.size)):
+            totals = bounds._weighted_sum(table.reshape(shape), w)
             assert float(totals.max()) <= ceiling, (w.tolist(), ceiling)
+            assert totals.reshape(-1)[ones].tolist() == [ceiling] * ones.size, (w.tolist(), ceiling)
 
 
 @contextlib.contextmanager
@@ -320,9 +321,9 @@ def chunk_counter():
 def level_table_sequence(w, levels, arcs, m):
     """The grid's former search, without its stop: f^2 once per tuple of levels, gathered per chunk.
 
-    It adds arcs in the same order as bounds._best_sequence but reaches
-    each sequence's coordinates through a table indexed by level, so the
-    two agree bit for bit only if both index the grid alike.
+    It adds arcs and sums totals in the same order as bounds._best_sequence
+    but reaches each sequence's coordinates through a table indexed by
+    level, so the two agree bit for bit only if both index the grid alike.
     """
     size = int(levels.max()) + 1
     level_arc = np.zeros(size)
@@ -343,7 +344,7 @@ def level_table_sequence(w, levels, arcs, m):
         chunks = [(table[first], rest) for first in levels]
     best_value, best_flat = -1.0, 0
     for a, (block, index) in enumerate(chunks):
-        totals = np.take(block, index) @ w
+        totals = bounds._weighted_sum(np.take(block, index), w)
         flat = int(np.argmax(totals))
         if float(totals.flat[flat]) > best_value:
             best_value, best_flat = float(totals.flat[flat]), a * totals.size + flat
@@ -403,13 +404,14 @@ def verify_m3_prior(seed):
         ("thirds", 3, 0.1, 1),
         ("verify-0", 3, 0.05, 1),
         ("zero-weight", 2, 0.1, 1),
-        ("verify-3", 3, 0.05, 231),
+        ("verify-3", 2, 0.05, 231),
     ],
 )
 def test_stopped_enumeration_matches_the_unstopped_one(name, m, step, chunks, monkeypatch):
-    # The enumeration stops once a total reaches bounds._ceiling(w).  Seed 3's
-    # weights round to 1.0 in the product's order and to 1.0000000000000002
-    # in another, so no total reaches the ceiling and all 231 chunks run.
+    # The enumeration stops once a total reaches bounds._ceiling(w), which a
+    # sequence that saturates every item reaches exactly.  At m = 2 none
+    # saturates three items (it would spend 3 sin^2(pi/4) = 1.5), and on
+    # seed 3's prior no total reaches the ceiling, so all 231 chunks run.
     w = {
         "thirds": new_prior([1.0] * 3),
         "verify-0": verify_m3_prior(0),
@@ -429,10 +431,13 @@ def test_stopped_enumeration_matches_the_unstopped_one(name, m, step, chunks, mo
 
 def test_grid_search_stops_at_the_ceiling():
     # one chunk for the equal family's one-row search, one for the m = 3
-    # search, which stops at its first
-    with chunk_counter() as chunks:
-        lemma_a1_search(verify_m3_prior(0), 3)
-    assert len(chunks) == 2
+    # search, which stops at its first: with first step e_0 it holds the
+    # unit allocations e_0, e_1, e_2, which saturate every item.  Step 0.02
+    # is the caps.
+    for seed, step in ((0, 0.05), (3, 0.05), (3, 0.02)):
+        with chunk_counter() as chunks:
+            lemma_a1_search(verify_m3_prior(seed), 3, step)
+        assert len(chunks) == 2, (seed, step)
 
 
 def report_digest(reports):
@@ -450,7 +455,7 @@ def report_digest(reports):
 # that explains the bits that moved it.
 BOUND_DIGESTS = {
     "duality": "06d0ebf10d453709e0595006603560b5ed072cdc61d2cf0267265e33150cedc6",
-    "grid": "cfb6915f7996920800758403f306a5d042ccf63dcae89d96dd079b3f28699df7",
+    "grid": "006bf844e8870e310de6d530d3f9c23121504f727caf45b931b12a1b9749e3b3",
 }
 
 

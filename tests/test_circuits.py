@@ -53,8 +53,10 @@ def test_prior_shape():
         halfhalf_prior(-0.01)
 
 
-@pytest.mark.parametrize("label", ["", "10", "1010", "1a1"])
+@pytest.mark.parametrize("label", ["", "10", "1010", "1a1", 101, None])
 def test_build_rejects_malformed_label(label):
+    with pytest.raises(InvalidInput):
+        solution_outcome(label)
     with pytest.raises(InvalidInput):
         build_halfhalf_circuit(1.0, label)
 

@@ -102,6 +102,8 @@ def test_reflection_sign_is_a_global_phase():
         ("h", ("1",), None),
         ("ry", (0,), True),
         ("ry", (0,), "1.0"),
+        ("h", 0, None),
+        ("h", None, None),
     ],
 )
 def test_gate_rejects_malformed(kind, qubits, angle):
@@ -133,6 +135,12 @@ def test_circuit_rejects_out_of_range_gate():
     for count in (2.5, "3", True):
         with pytest.raises(InvalidInput):
             GateCircuit(qubit_count=count, gates=())
+    for gates in (("h",), (None,), 5):
+        with pytest.raises(InvalidInput):
+            GateCircuit(qubit_count=2, gates=gates)
+    for label in (5, None, b"01"):
+        with pytest.raises(InvalidInput):
+            GateCircuit(qubit_count=2, gates=(), solution_label=label)
 
 
 def test_register_cap():

@@ -16,6 +16,7 @@ from qsearch import (
     Prior,
     lemma_a1_search,
     ranking_baseline,
+    run_iterations,
     sample_random_prior,
     speedup_plan,
     success_prob_single,
@@ -26,6 +27,7 @@ from qsearch import (
 
 P4 = sample_random_prior(4, 5)
 P3 = sample_random_prior(3, 5)
+PLAN4 = AmplitudePlan(q=np.full(4, 0.25), t=1)
 
 # name -> (call with the integer argument x, smallest accepted value).
 # cap, optimize and load_plan have their own cases in test_optimizer.py.
@@ -39,6 +41,8 @@ CALLS = {
     "lemma_a1_search.m": (lambda x: lemma_a1_search(P3, x), 1),
     "uniform_plan.n": (lambda x: uniform_plan(x, 1), 1),
     "sample_random_prior.n": (lambda x: sample_random_prior(x, 1), 1),
+    "sample_random_prior.seed": (lambda x: sample_random_prior(3, x), 0),
+    "run_iterations.x": (lambda x: run_iterations(PLAN4, x), 1),
 }
 
 NOT_INTEGERS = [True, 1.5, 2.0, "1", None]
